@@ -2,9 +2,10 @@
 //! sizes and writes `BENCH_kernels.json` (schema documented in
 //! EXPERIMENTS.md).
 //!
-//! Unlike the Criterion benches (statistical, minutes-long), this binary
-//! is a fast smoke report: a handful of repeats per kernel, median with
-//! p10/p90 spread, suitable for CI artifacts and quick before/after
+//! This is the kernel level of the repository's measurements; end-to-end
+//! and per-layer timings come from the `ams_bench` benchmark. Each kernel
+//! runs a handful of repeats and reports its median with the p10/p90
+//! spread, suitable for CI artifacts and quick before/after
 //! comparisons. The headline entry pits the tiled matmul against the
 //! retained naive reference kernel on the conv-shaped
 //! `256 × 1152 × 3136` product so speedups are tracked release to

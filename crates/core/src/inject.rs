@@ -10,7 +10,6 @@
 use ams_tensor::obs::WelfordState;
 use ams_tensor::{rng, Tensor};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::vmac::Vmac;
 
@@ -207,11 +206,6 @@ impl GaussianInjector {
     /// Repositions the injector at a previously captured stream cursor.
     pub fn restore_rng_state(&mut self, state: &rng::RngState) {
         self.rng = state.restore();
-    }
-
-    /// Draws a uniform sample in `[0, 1)` (shared-RNG convenience).
-    pub fn uniform(&mut self) -> f32 {
-        self.rng.gen()
     }
 }
 

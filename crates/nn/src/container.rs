@@ -110,11 +110,6 @@ impl Sequential {
         self.layers.push(Box::new(layer));
     }
 
-    /// Appends a boxed layer to the end of the chain.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of layers in the chain.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -128,11 +123,6 @@ impl Sequential {
     /// Iterates over the contained layers.
     pub fn iter(&self) -> impl Iterator<Item = &dyn Layer> {
         self.layers.iter().map(|b| b.as_ref())
-    }
-
-    /// Mutable access to the contained layers.
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
     }
 }
 

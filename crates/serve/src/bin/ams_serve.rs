@@ -1,13 +1,10 @@
 //! The `ams-serve` daemon binary: load one scenario, serve until a client
 //! sends the shutdown frame.
 
-use std::time::Duration;
-
-use ams_core::error_model::ErrorModelConfig;
-use ams_exp::{usage_exit, Scale};
-use ams_models::ModelKind;
+use ams_core::error_model::{ErrorModelConfig, ErrorModelKind, DRIFT_NU_DEFAULT};
+use ams_exp::usage_exit;
 use ams_quant::QuantScheme;
-use ams_serve::{ScenarioConfig, ServeConfig};
+use ams_serve::{ScenarioConfig, ServeArgs, ServeConfig};
 use ams_tensor::KernelDispatch;
 
 const USAGE: &str = "[--addr HOST:PORT] [--metrics-addr HOST:PORT] [--workers N] [--worker-threads N] [--max-batch N] [--max-delay-ms MS] [--enob E] [--scale quick|full|test] [--results DIR] [--model resnet-mini|lenet5] [--quant dorefa|bfp] [--error-model lumped|composite|per-vmac|drifting-pcm|ideal] [--kernel f32|i8] [--at-time T]";
@@ -22,79 +19,33 @@ struct Args {
 fn parse(args: Vec<String>) -> Result<Args, String> {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut metrics_addr = "127.0.0.1:7879".to_string();
-    let mut scenario = ScenarioConfig::default_at(Scale::quick());
-    let mut serve = ServeConfig::default();
-    let value = |i: usize, flag: &str| -> Result<&String, String> {
-        args.get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => addr = value(i, "--addr")?.clone(),
-            "--metrics-addr" => metrics_addr = value(i, "--metrics-addr")?.clone(),
-            "--workers" => {
-                serve.workers = value(i, "--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers needs a positive integer: {e}"))?;
-            }
-            "--worker-threads" => {
-                serve.threads_per_worker = value(i, "--worker-threads")?
-                    .parse()
-                    .map_err(|e| format!("--worker-threads needs an integer: {e}"))?;
-            }
-            "--max-batch" => {
-                serve.max_batch = value(i, "--max-batch")?
-                    .parse()
-                    .map_err(|e| format!("--max-batch needs a positive integer: {e}"))?;
-            }
-            "--max-delay-ms" => {
-                let ms: f64 = value(i, "--max-delay-ms")?
-                    .parse()
-                    .map_err(|e| format!("--max-delay-ms needs a number: {e}"))?;
-                serve.max_delay = Duration::from_secs_f64(ms / 1e3);
-            }
-            "--enob" => {
-                scenario.enob = Some(
-                    value(i, "--enob")?
-                        .parse()
-                        .map_err(|e| format!("--enob needs a number: {e}"))?,
-                );
-            }
-            "--scale" => {
-                scenario.scale = Scale::by_name(value(i, "--scale")?)
-                    .map_err(|n| format!("unknown scale {n:?}; use quick|full|test"))?;
-            }
-            "--results" => scenario.results = value(i, "--results")?.clone(),
-            "--model" => {
-                scenario.model = value(i, "--model")?.parse::<ModelKind>()?;
-            }
+    let ServeArgs { scenario, serve } = ServeArgs::parse(&args, |shared, flag| {
+        let scenario = &mut shared.scenario;
+        match flag.name {
+            "--addr" => addr = flag.value()?.to_string(),
+            "--metrics-addr" => metrics_addr = flag.value()?.to_string(),
+            "--model" => scenario.model = flag.value()?.parse()?,
             "--quant" => {
-                scenario.quant = match value(i, "--quant")?.as_str() {
+                scenario.quant = match flag.value()? {
                     "dorefa" => QuantScheme::Dorefa,
                     "bfp" => QuantScheme::Bfp { block: 16 },
                     other => return Err(format!("unknown quantizer {other:?}; use dorefa|bfp")),
                 };
             }
             "--error-model" => {
-                let kind: ams_core::error_model::ErrorModelKind =
-                    value(i, "--error-model")?.parse()?;
-                scenario.error_model = match kind {
-                    ams_core::error_model::ErrorModelKind::Ideal => ErrorModelConfig::Ideal,
-                    ams_core::error_model::ErrorModelKind::Lumped => ErrorModelConfig::Lumped,
-                    ams_core::error_model::ErrorModelKind::Composite => {
-                        ErrorModelConfig::Composite {
-                            multiplier_sigma: 0.01,
-                        }
-                    }
-                    ams_core::error_model::ErrorModelKind::PerVmac => ErrorModelConfig::per_vmac(),
-                    ams_core::error_model::ErrorModelKind::DriftingPcm => {
-                        ErrorModelConfig::drifting_pcm(ams_core::error_model::DRIFT_NU_DEFAULT)
-                    }
+                scenario.error_model = match flag.value()?.parse::<ErrorModelKind>()? {
+                    ErrorModelKind::Ideal => ErrorModelConfig::Ideal,
+                    ErrorModelKind::Lumped => ErrorModelConfig::Lumped,
+                    ErrorModelKind::Composite => ErrorModelConfig::Composite {
+                        multiplier_sigma: 0.01,
+                    },
+                    ErrorModelKind::PerVmac => ErrorModelConfig::per_vmac(),
+                    ErrorModelKind::DriftingPcm => ErrorModelConfig::drifting_pcm(DRIFT_NU_DEFAULT),
                 };
             }
             "--at-time" => {
-                let t: f64 = value(i, "--at-time")?
+                let t: f64 = flag
+                    .value()?
                     .parse()
                     .map_err(|e| format!("--at-time needs a number (seconds): {e}"))?;
                 if !t.is_finite() || t <= 0.0 {
@@ -104,14 +55,11 @@ fn parse(args: Vec<String>) -> Result<Args, String> {
                 }
                 scenario.at_time = t;
             }
-            "--kernel" => {
-                scenario.kernel = KernelDispatch::by_name(value(i, "--kernel")?)?;
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+            "--kernel" => scenario.kernel = KernelDispatch::by_name(flag.value()?)?,
+            _ => return Ok(false),
         }
-        // Every flag above takes exactly one value.
-        i += 2;
-    }
+        Ok(true)
+    })?;
     Ok(Args {
         addr,
         metrics_addr,

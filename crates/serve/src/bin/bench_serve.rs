@@ -8,9 +8,9 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ams_exp::{usage_exit, Scale};
+use ams_exp::usage_exit;
 use ams_serve::protocol::ServeClient;
-use ams_serve::{LoadedScenario, ScenarioConfig, ServeConfig};
+use ams_serve::{LoadedScenario, ScenarioConfig, ServeArgs, ServeConfig};
 use serde::Serialize;
 
 const USAGE: &str = "[--scale quick|full|test] [--results DIR] [--enob E] [--concurrency N] [--requests N] [--warmup N] [--workers N] [--worker-threads N] [--max-batch N] [--max-delay-ms MS] [--out PATH]";
@@ -27,76 +27,31 @@ struct Args {
 }
 
 fn parse(args: Vec<String>) -> Result<Args, String> {
-    let mut out = Args {
-        scenario: ScenarioConfig::default_at(Scale::quick()),
-        concurrency: 32,
-        requests: 24,
-        warmup: 4,
-        serve: ServeConfig::default(),
-        out: "BENCH_serve.json".to_string(),
-    };
-    let value = |i: usize, flag: &str| -> Result<&String, String> {
-        args.get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                out.scenario.scale = Scale::by_name(value(i, "--scale")?)
-                    .map_err(|n| format!("unknown scale {n:?}; use quick|full|test"))?;
-            }
-            "--results" => out.scenario.results = value(i, "--results")?.clone(),
-            "--enob" => {
-                out.scenario.enob = Some(
-                    value(i, "--enob")?
-                        .parse()
-                        .map_err(|e| format!("--enob needs a number: {e}"))?,
-                );
-            }
-            "--concurrency" => {
-                out.concurrency = value(i, "--concurrency")?
-                    .parse()
-                    .map_err(|e| format!("--concurrency needs a positive integer: {e}"))?;
-            }
-            "--requests" => {
-                out.requests = value(i, "--requests")?
-                    .parse()
-                    .map_err(|e| format!("--requests needs a positive integer: {e}"))?;
-            }
+    let (mut concurrency, mut requests, mut warmup) = (32, 24, 4);
+    let mut out = "BENCH_serve.json".to_string();
+    let ServeArgs { scenario, serve } = ServeArgs::parse(&args, |_, flag| {
+        match flag.name {
+            "--concurrency" => concurrency = flag.positive_integer()?,
+            "--requests" => requests = flag.positive_integer()?,
             "--warmup" => {
-                out.warmup = value(i, "--warmup")?
+                warmup = flag
+                    .value()?
                     .parse()
                     .map_err(|e| format!("--warmup needs an integer: {e}"))?;
             }
-            "--workers" => {
-                out.serve.workers = value(i, "--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers needs a positive integer: {e}"))?;
-            }
-            "--worker-threads" => {
-                out.serve.threads_per_worker = value(i, "--worker-threads")?
-                    .parse()
-                    .map_err(|e| format!("--worker-threads needs an integer: {e}"))?;
-            }
-            "--max-batch" => {
-                out.serve.max_batch = value(i, "--max-batch")?
-                    .parse()
-                    .map_err(|e| format!("--max-batch needs a positive integer: {e}"))?;
-            }
-            "--max-delay-ms" => {
-                let ms: f64 = value(i, "--max-delay-ms")?
-                    .parse()
-                    .map_err(|e| format!("--max-delay-ms needs a number: {e}"))?;
-                out.serve.max_delay = Duration::from_secs_f64(ms / 1e3);
-            }
-            "--out" => out.out = value(i, "--out")?.clone(),
-            other => return Err(format!("unknown argument {other:?}")),
+            "--out" => out = flag.value()?.to_string(),
+            _ => return Ok(false),
         }
-        // Every flag above takes exactly one value.
-        i += 2;
-    }
-    Ok(out)
+        Ok(true)
+    })?;
+    Ok(Args {
+        scenario,
+        concurrency,
+        requests,
+        warmup,
+        serve,
+        out,
+    })
 }
 
 /// Latency summary over one timed mode.
@@ -112,19 +67,11 @@ struct LatencyMs {
 #[derive(Debug, Serialize)]
 struct ModeResult {
     mode: String,
-    /// What this mode measures (the two modes differ in more than one
-    /// knob; this spells out exactly which).
+    /// What this mode measures, in words.
     note: String,
     max_batch: usize,
     max_delay_ms: f64,
     workers: usize,
-    /// `false`: every worker re-quantizes weights per forward (the
-    /// pre-daemon per-call setup cost). Logits are bitwise identical
-    /// either way; only cost differs.
-    frozen_weights: bool,
-    /// `false`: the replica is rebuilt from the checkpoint for every
-    /// batch — the cold setup every prediction paid before the daemon.
-    resident_model: bool,
     total_requests: usize,
     wall_s: f64,
     req_per_s: f64,
@@ -237,8 +184,6 @@ fn run_mode(
         max_batch: serve.max_batch,
         max_delay_ms: serve.max_delay.as_secs_f64() * 1e3,
         workers: serve.workers,
-        frozen_weights: serve.frozen_weights,
-        resident_model: serve.resident_model,
         total_requests: total,
         wall_s,
         req_per_s: total as f64 / wall_s,
@@ -277,16 +222,11 @@ fn main() {
         .map(|i| val[i * per_image..(i + 1) * per_image].to_vec())
         .collect();
 
-    // Baseline: the serving architecture this daemon replaces —
-    // thread-per-connection, one replica per worker, full per-call weight
-    // quantization on every forward, no coalescing. Same scenario, same
-    // bitwise logits; only the perf levers are off.
+    // Baseline: the same pool with coalescing off, so the speedup is
+    // what adaptive batching alone buys.
     let batch1 = ServeConfig {
         max_batch: 1,
         max_delay: Duration::ZERO,
-        workers: args.concurrency,
-        frozen_weights: false,
-        resident_model: false,
         ..args.serve.clone()
     };
     eprintln!(
@@ -295,8 +235,7 @@ fn main() {
     );
     let r1 = run_mode(
         "batch1_forced",
-        "pre-daemon baseline: replica per connection, cold model setup and \
-         weight quantization on every prediction, coalescing off",
+        "coalescing off on the same pool: every request is its own forward",
         &scenario,
         batch1,
         &images,
@@ -313,7 +252,7 @@ fn main() {
     );
     let r2 = run_mode(
         "adaptive",
-        "the daemon as shipped: shared frozen weights, adaptive coalescing",
+        "the daemon as shipped: adaptive coalescing",
         &scenario,
         args.serve.clone(),
         &images,
@@ -327,7 +266,7 @@ fn main() {
     let speedup = r2.req_per_s / r1.req_per_s;
     eprintln!("[bench_serve] adaptive speedup: {speedup:.2}x");
     let report = BenchReport {
-        schema: "ams-bench/serve/v1".to_string(),
+        schema: "ams-bench/serve/v2".to_string(),
         scale: args.scenario.scale.name.clone(),
         model: args.scenario.model.key().to_string(),
         quant: args.scenario.quant.key().to_string(),

@@ -27,9 +27,11 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod protocol;
 pub mod scenario;
 pub mod server;
 
+pub use cli::ServeArgs;
 pub use scenario::{LoadedScenario, ScenarioConfig};
 pub use server::{start, ServeConfig, ServerHandle, BATCH_SIZE_BOUNDS, LATENCY_MS_BOUNDS};

@@ -139,10 +139,9 @@ impl LoadedScenario {
     }
 
     /// Builds a replica *without* the frozen-weight split: every forward
-    /// re-quantizes its shadow weights, the full per-call setup cost each
-    /// prediction paid before the daemon existed. Bitwise identical
-    /// output to [`LoadedScenario::build_replica`]; used as the load
-    /// generator's baseline and the e2e test's offline comparator.
+    /// re-quantizes its shadow weights. Bitwise identical output to
+    /// [`LoadedScenario::build_replica`], so it serves as the offline
+    /// comparator for the daemon's replies.
     pub fn build_unfrozen_replica(&self) -> Box<dyn AmsModel> {
         let mut net = self.spec.build(&self.hw);
         self.checkpoint

@@ -64,20 +64,6 @@ pub struct ServeConfig {
     /// on its own and dispatch is immediate; the cap only bites when a
     /// lone request would otherwise leave with an empty batch.
     pub max_delay: Duration,
-    /// Share one frozen quantized weight set across replicas (the
-    /// daemon's default). `false` gives every worker an unfrozen replica
-    /// that re-quantizes its weights on every forward — the per-call
-    /// setup cost each prediction paid before this daemon existed, kept
-    /// as the load generator's baseline. Both settings produce bitwise
-    /// identical logits (frozen forwards are bit-identical by
-    /// construction); only the cost per forward differs.
-    pub frozen_weights: bool,
-    /// Keep each worker's replica resident across batches (the daemon's
-    /// default). `false` rebuilds the replica from the checkpoint for
-    /// every batch — the cold per-prediction setup cost of serving
-    /// without a daemon, kept as the load generator's baseline. Output
-    /// is unaffected; replicas are deterministic twins.
-    pub resident_model: bool,
 }
 
 impl Default for ServeConfig {
@@ -87,8 +73,6 @@ impl Default for ServeConfig {
             threads_per_worker: 0,
             max_batch: 8,
             max_delay: Duration::from_millis(2),
-            frozen_weights: true,
-            resident_model: true,
         }
     }
 }
@@ -210,13 +194,10 @@ pub fn start(
         let scenario = Arc::clone(&scenario);
         let sink = sink.clone();
         let idle_tx = idle_tx.clone();
-        let cfg = cfg.clone();
         threads.push(
             thread::Builder::new()
                 .name(format!("ams-serve-worker-{w}"))
-                .spawn(move || {
-                    worker_loop(w, &scenario, &cfg, worker_threads, &sink, &idle_tx, &rx)
-                })
+                .spawn(move || worker_loop(w, &scenario, worker_threads, &sink, &idle_tx, &rx))
                 .expect("spawn worker"),
         );
     }
@@ -271,20 +252,12 @@ pub fn start(
 fn worker_loop(
     index: usize,
     scenario: &LoadedScenario,
-    cfg: &ServeConfig,
     threads: usize,
     sink: &MetricsSink,
     idle_tx: &Sender<usize>,
     rx: &Receiver<WorkerMsg>,
 ) {
-    let build = || {
-        if cfg.frozen_weights {
-            scenario.build_replica()
-        } else {
-            scenario.build_unfrozen_replica()
-        }
-    };
-    let mut net = build();
+    let mut net = scenario.build_replica();
     // Layer-level metric recording stays off the hot path; serve-level
     // metrics go through `sink`.
     let ctx = ExecCtx::with_threads(threads).with_kernel(scenario.kernel);
@@ -295,10 +268,6 @@ fn worker_loop(
         return;
     }
     while let Ok(WorkerMsg::Batch(jobs)) = rx.recv() {
-        if !cfg.resident_model {
-            // Baseline mode: pay the cold per-prediction setup.
-            net = build();
-        }
         sink.observe_histogram("serve.batch.size", &BATCH_SIZE_BOUNDS, jobs.len() as f64);
         // Partition the coalesced batch by effective inference time: a
         // pinned `classify-at` time, or the scenario's configured time

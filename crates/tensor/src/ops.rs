@@ -11,13 +11,6 @@ impl Tensor {
         Tensor::from_vec(self.dims(), data).expect("map preserves length")
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.data_mut() {
-            *x = f(*x);
-        }
-    }
-
     /// Combines two same-shape tensors elementwise with `f`.
     ///
     /// # Panics
@@ -43,18 +36,6 @@ impl Tensor {
         assert_same_dims("add_assign", self.dims(), other.dims());
         for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += b;
-        }
-    }
-
-    /// `self -= other`, elementwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        assert_same_dims("sub_assign", self.dims(), other.dims());
-        for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
-            *a -= b;
         }
     }
 
