@@ -1,11 +1,12 @@
 //! Steady-state allocation behavior of the quantized layers: once the
-//! workspace arena is warm, eval forwards draw every f32 buffer from the
-//! pool — zero fresh heap allocations in the hot path.
+//! workspace arena is warm, eval forwards draw every f32 buffer and i16
+//! GEMM panel from the pool — zero fresh workspace buffers in the hot
+//! path, on both kernels.
 
 use ams_models::{HardwareConfig, InputKind, QConv2d, QLinear};
 use ams_nn::{Layer, Mode};
 use ams_quant::QuantConfig;
-use ams_tensor::{rng, ExecCtx, Tensor};
+use ams_tensor::{rng, ExecCtx, KernelDispatch, Tensor};
 
 fn input(dims: &[usize], seed: u64) -> Tensor {
     let mut t = Tensor::zeros(dims);
@@ -15,11 +16,36 @@ fn input(dims: &[usize], seed: u64) -> Tensor {
 }
 
 /// After one warm-up forward, QConv2d eval forwards allocate nothing:
-/// every tensor (quantized input, quantized weight, lowered columns,
-/// product matrix, output) cycles through the context's workspace.
+/// every tensor (quantized input, quantized weight, lowered columns or
+/// coded panels, product matrix, output) cycles through the context's
+/// workspace.
 #[test]
 fn qconv_eval_steady_state_allocates_nothing() {
-    let ctx = ExecCtx::serial();
+    qconv_eval_steady_state(KernelDispatch::F32);
+}
+
+/// The i8 twin: the coded input, its lowered panel and the weight panel
+/// come from the workspace's i16 pool.
+#[test]
+fn qconv_i8_eval_steady_state_allocates_nothing() {
+    qconv_eval_steady_state(KernelDispatch::I8);
+}
+
+/// Same steady-state contract for the quantized classifier head.
+#[test]
+fn qlinear_eval_steady_state_allocates_nothing() {
+    qlinear_eval_steady_state(KernelDispatch::F32);
+}
+
+/// The classifier head on the i8 kernel: the input is coded straight
+/// into a pooled panel.
+#[test]
+fn qlinear_i8_eval_steady_state_allocates_nothing() {
+    qlinear_eval_steady_state(KernelDispatch::I8);
+}
+
+fn qconv_eval_steady_state(kernel: KernelDispatch) {
+    let ctx = ExecCtx::serial().with_kernel(kernel);
     let ws = ctx.workspace();
     let mut r = rng::seeded(0);
     let hw = HardwareConfig::quantized(QuantConfig::w8a8());
@@ -59,10 +85,8 @@ fn qconv_eval_steady_state_allocates_nothing() {
     );
 }
 
-/// Same steady-state contract for the quantized classifier head.
-#[test]
-fn qlinear_eval_steady_state_allocates_nothing() {
-    let ctx = ExecCtx::serial();
+fn qlinear_eval_steady_state(kernel: KernelDispatch) {
+    let ctx = ExecCtx::serial().with_kernel(kernel);
     let ws = ctx.workspace();
     let mut r = rng::seeded(2);
     let hw = HardwareConfig::quantized(QuantConfig::w8a8());

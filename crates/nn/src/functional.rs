@@ -9,9 +9,9 @@
 //! them to the shadow full-precision parameter.
 
 use ams_tensor::{
-    col2im_in, im2col_in, mat_to_nchw_in, matmul_a_bt_in, matmul_at_b_in, matmul_hinted_in,
-    matmul_i8_a_bt_in, matmul_i8_in, matmul_in, nchw_to_mat_in, quantize_symmetric_i8, ConvGeom,
-    Density, ExecCtx, Tensor,
+    code_im2row_i16_in, code_rows_i16_in, col2im_in, im2col_in, mat_to_nchw_in, matmul_a_bt_in,
+    matmul_at_b_in, matmul_hinted_in, matmul_i8_panels_in, matmul_in, nchw_to_mat_in,
+    pack_rows_i16, ConvGeom, Density, ExecCtx, Tensor,
 };
 
 /// Cache produced by [`conv2d_forward`], consumed by [`conv2d_backward`].
@@ -104,11 +104,14 @@ pub fn conv2d_forward(
 ///
 /// `w_codes` are symmetric-i8 weight codes in `(C_out, C_in·K_h·K_w)`
 /// layout with dequantization scale `w_scale` (see
-/// `ams_quant::Quantizer::quantize_weights_i8_in`); the im2col'd
-/// activations are re-coded onto the same grid here, and the combined
-/// scale is folded into the integer GEMM's epilogue — no f32 copy of the
-/// weights is ever materialized. `w_sparse` routes the kernel's
-/// zero-skipping dot (weights are the GEMM lhs).
+/// `ams_quant::Quantizer::quantize_weights_i8_in`). The input is coded
+/// onto the same grid once and its codes lowered straight into the
+/// GEMM's rhs panel ([`code_im2row_i16_in`] — bit-identical to coding the
+/// im2col'd activations), and the combined scale is folded into the
+/// integer GEMM's epilogue — no f32 copy of the weights or of the lowered
+/// input is ever materialized. `w_sparse` routes the kernel's
+/// zero-skipping dot (weights are the GEMM lhs). Both panels come from
+/// the context's workspace.
 ///
 /// There is no cache variant: the integer path is for inference, training
 /// always runs the f32 kernels.
@@ -141,19 +144,22 @@ pub fn conv2d_forward_i8(
         c_out * geom.rows()
     );
     let ws = ctx.workspace();
-    let cols = im2col_in(ctx, input, &geom);
-    let (acodes, ascale) = quantize_symmetric_i8(cols.data());
-    ws.recycle(cols);
-    let mut ymat = matmul_i8_in(
+    let (apanel, ascale) = code_im2row_i16_in(ctx, input, &geom);
+    let mut wpanel = ws.take_panel_i16(w_codes.len());
+    pack_rows_i16(w_codes, &mut wpanel);
+    let mut ymat = matmul_i8_panels_in(
         ctx,
         c_out,
         geom.rows(),
         geom.cols(),
-        w_codes,
-        &acodes,
+        &wpanel,
+        &apanel,
         w_scale * ascale,
+        None,
         w_sparse,
     );
+    ws.recycle_panel_i16(wpanel);
+    ws.recycle_panel_i16(apanel);
     if let Some(b) = bias {
         assert_eq!(b.len(), c_out, "conv2d_forward_i8: bias length != C_out");
         let ncols = geom.cols();
@@ -257,9 +263,10 @@ pub fn linear_forward(
 ///
 /// `w_codes` are symmetric-i8 weight codes in `(out_features,
 /// in_features)` row-major layout with dequantization scale `w_scale`;
-/// the input batch is re-coded onto the same grid here and the bias (the
-/// paper keeps it digital/full-precision) is fused into the integer
-/// GEMM's epilogue.
+/// the input batch is coded onto the same grid straight into the GEMM's
+/// lhs panel ([`code_rows_i16_in`]) and the bias (the paper keeps it
+/// digital/full-precision) is fused into the integer GEMM's epilogue.
+/// Both panels come from the context's workspace.
 ///
 /// # Panics
 ///
@@ -281,18 +288,24 @@ pub fn linear_forward_i8(
         w_codes.len(),
         out_features * in_features
     );
-    let (acodes, ascale) = quantize_symmetric_i8(input.data());
-    matmul_i8_a_bt_in(
+    let ws = ctx.workspace();
+    let (apanel, ascale) = code_rows_i16_in(ws, input.data());
+    let mut wpanel = ws.take_panel_i16(w_codes.len());
+    pack_rows_i16(w_codes, &mut wpanel);
+    let y = matmul_i8_panels_in(
         ctx,
         n,
         in_features,
         out_features,
-        &acodes,
-        w_codes,
+        &apanel,
+        &wpanel,
         ascale * w_scale,
         bias,
         false,
-    )
+    );
+    ws.recycle_panel_i16(apanel);
+    ws.recycle_panel_i16(wpanel);
+    y
 }
 
 /// Gradients of a fully-connected layer.
@@ -323,7 +336,7 @@ pub fn linear_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ams_tensor::rng;
+    use ams_tensor::{quantize_symmetric_i8, rng};
 
     static CTX: ExecCtx = ExecCtx::serial();
 

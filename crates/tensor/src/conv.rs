@@ -5,12 +5,16 @@
 //! `W_mat: (C_out, C_in·K_h·K_w)` and `cols: (C_in·K_h·K_w, N·OH·OW)`.
 //! [`col2im`] is the exact adjoint of [`im2col`] (a scatter-add), which is
 //! what the convolution backward pass needs — a property checked by a
-//! dedicated adjointness test.
+//! dedicated adjointness test. The i8 path lowers *codes* instead:
+//! [`code_im2row_i16_in`] codes the input once and gathers the codes
+//! straight into the integer GEMM's k-contiguous rhs panel.
 
 use serde::{Deserialize, Serialize};
 
 use crate::exec::ExecCtx;
+use crate::matmul_i8::{code, max_abs, symmetric_scale};
 use crate::tensor::Tensor;
+use crate::workspace::I16Panel;
 
 /// Geometry of a 2-D convolution: input size, kernel, stride and padding.
 ///
@@ -182,6 +186,128 @@ pub fn im2col_in(ctx: &ExecCtx, input: &Tensor, geom: &ConvGeom) -> Tensor {
         }
     });
     cols
+}
+
+/// Whether some output position's taps read input position `i` along one
+/// axis (`k` taps, `out` output positions).
+fn tap_reads(i: usize, k: usize, stride: usize, pad: usize, out: usize) -> bool {
+    (0..k).any(|ki| {
+        (i + pad)
+            .checked_sub(ki)
+            .is_some_and(|o| o % stride == 0 && o / stride < out)
+    })
+}
+
+/// The i8 convolution's activation operand, coded once and lowered as
+/// codes: codes an `(N, C, H, W)` input onto the symmetric i8 grid and
+/// gathers the codes into the integer GEMM's k-contiguous rhs panel, one
+/// `C·K_h·K_w` run per output pixel (im2row):
+/// `panel[j·K + (c·K_h + ki)·K_w + kj]` for output pixel `j`.
+///
+/// Panel and scale equal, bit for bit, `pack_cols_i16` of
+/// `quantize_symmetric_i8(im2col(input))`: the scale is `max|x|/127` over
+/// the input positions some tap reads (the column matrix holds exactly
+/// those plus padding zeros, and max is order-free), codes go through the
+/// same coder, and padding taps read code 0. It codes `N·C·H·W` elements
+/// instead of the column matrix's `K_h·K_w`-fold copy, and writes no f32
+/// column matrix, no `Vec<i8>` and no strided transpose. The panel and
+/// the zero-bordered code scratch come from the workspace's i16 pool;
+/// output pixel rows are split across the context's workers, each written
+/// by exactly one of them, so any thread count gives the same panel.
+///
+/// # Panics
+///
+/// Panics if `input` is not 4-D or disagrees with `geom`.
+pub fn code_im2row_i16_in(ctx: &ExecCtx, input: &Tensor, geom: &ConvGeom) -> (I16Panel, f32) {
+    let (n, c, h, w) = input.dims4();
+    assert_eq!(
+        (n, c, h, w),
+        (geom.n, geom.c_in, geom.h, geom.w),
+        "code_im2row: input dims disagree with geometry"
+    );
+    let ws = ctx.workspace();
+    let (kh, kw, stride, pad, oh, ow) = (geom.kh, geom.kw, geom.stride, geom.pad, geom.oh, geom.ow);
+    let kdim = geom.rows();
+    let mut panel = ws.take_panel_i16(kdim * geom.cols());
+    let src = input.data();
+    if panel.is_empty() || src.is_empty() {
+        panel.fill(0); // every tap is padding
+        return (panel, 0.0);
+    }
+
+    let row_read = |ih: usize| tap_reads(ih, kh, stride, pad, oh);
+    let col_read = |iw: usize| tap_reads(iw, kw, stride, pad, ow);
+    let max = if (0..h).all(row_read) && (0..w).all(col_read) {
+        max_abs(src)
+    } else {
+        // e.g. a 1×1 stride-2 projection reads every other row and column.
+        src.chunks(w)
+            .enumerate()
+            .filter(|(r, _)| row_read(r % h))
+            .flat_map(|(_, row)| row.iter().enumerate().filter(|&(iw, _)| col_read(iw)))
+            .fold(0.0f32, |m, (_, v)| m.max(v.abs()))
+    };
+    let (scale, inv) = symmetric_scale(max);
+
+    // Code once, into a copy of the input with a zero border of width
+    // `pad`, so the gather below reads padding taps as code 0 without
+    // bounds checks.
+    let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+    let mut padded = ws.take_panel_i16(n * c * ph * pw);
+    for (dplane, splane) in padded.chunks_mut(ph * pw).zip(src.chunks(h * w)) {
+        let (top, rest) = dplane.split_at_mut(pad * pw);
+        let (body, bottom) = rest.split_at_mut(h * pw);
+        top.fill(0);
+        bottom.fill(0);
+        for (drow, srow) in body.chunks_mut(pw).zip(splane.chunks(w)) {
+            drow[..pad].fill(0);
+            drow[pad + w..].fill(0);
+            for (d, &v) in drow[pad..pad + w].iter_mut().zip(srow) {
+                *d = code(v, inv);
+            }
+        }
+    }
+
+    // Lower: every output pixel's run reads `K_w` consecutive codes from
+    // each of its `C·K_h` padded rows. A compile-time `K_w` for the
+    // common kernels turns those reads into fixed-size copies.
+    let lower = match kw {
+        1 => im2row_rows::<1>,
+        3 => im2row_rows::<3>,
+        5 => im2row_rows::<5>,
+        _ => im2row_rows::<0>,
+    };
+    let cc = &padded[..];
+    ctx.for_each_chunk(&mut panel[..], ow * kdim, ow * kdim, |row, dst| {
+        lower(cc, geom, row, dst)
+    });
+    ws.recycle_panel_i16(padded);
+    (panel, scale)
+}
+
+/// Writes the K-runs of output row `row` (`= image · OH + oh`) into `dst`,
+/// one run of `C·K_h·K_w` codes per output pixel, reading the
+/// zero-bordered codes `padded`. `KW` is the kernel width when known at
+/// compile time, `0` for "read `geom.kw`".
+fn im2row_rows<const KW: usize>(padded: &[i16], geom: &ConvGeom, row: usize, dst: &mut [i16]) {
+    let kw = if KW > 0 { KW } else { geom.kw };
+    let (c, kh, stride) = (geom.c_in, geom.kh, geom.stride);
+    let pw = geom.w + 2 * geom.pad;
+    let plane = (geom.h + 2 * geom.pad) * pw;
+    let (ni, ohi) = (row / geom.oh, row % geom.oh);
+    let kdim = c * kh * kw;
+    let image = ni * c * plane + ohi * stride * pw;
+    for (owi, run) in dst.chunks_exact_mut(kdim).enumerate() {
+        let mut k = 0;
+        for ci in 0..c {
+            let channel = image + owi * stride + ci * plane;
+            for ki in 0..kh {
+                let at = channel + ki * pw;
+                run[k..k + kw].copy_from_slice(&padded[at..at + kw]);
+                k += kw;
+            }
+        }
+    }
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a `(C·K_h·K_w, N·OH·OW)` column

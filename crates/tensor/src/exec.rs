@@ -294,9 +294,10 @@ impl ExecCtx {
     ///
     /// Panics if `out.len()` is not a multiple of `chunk_len` (for
     /// non-empty `out`).
-    pub fn for_each_chunk<F>(&self, out: &mut [f32], chunk_len: usize, work_per_chunk: usize, f: F)
+    pub fn for_each_chunk<T, F>(&self, out: &mut [T], chunk_len: usize, work_per_chunk: usize, f: F)
     where
-        F: Fn(usize, &mut [f32]) + Sync,
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
     {
         if out.is_empty() {
             return;

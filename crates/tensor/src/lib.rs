@@ -57,8 +57,8 @@ mod workspace;
 pub use ams_obs as obs;
 pub use ams_obs::MetricsSink;
 pub use conv::{
-    col2im, col2im_in, im2col, im2col_in, mat_to_nchw, mat_to_nchw_in, nchw_to_mat, nchw_to_mat_in,
-    ConvGeom,
+    code_im2row_i16_in, col2im, col2im_in, im2col, im2col_in, mat_to_nchw, mat_to_nchw_in,
+    nchw_to_mat, nchw_to_mat_in, ConvGeom,
 };
 pub use exec::{noise_stream_seed, ExecCtx, KernelDispatch, Parallelism};
 pub use matmul::{
@@ -66,9 +66,9 @@ pub use matmul::{
     matmul_at_b_reference, matmul_hinted_in, matmul_in, matmul_reference, Density,
 };
 pub use matmul_i8::{
-    matmul_i8_a_bt_in, matmul_i8_in, matmul_i8_reference, pack_cols_i16, pack_rows_i16,
-    quantize_symmetric_i8, unpack_cols_i16, unpack_rows_i16,
+    code_rows_i16_in, matmul_i8_a_bt_in, matmul_i8_in, matmul_i8_panels_in, matmul_i8_reference,
+    pack_cols_i16, pack_rows_i16, quantize_symmetric_i8, unpack_cols_i16, unpack_rows_i16,
 };
 pub use shape::{ShapeExt, TensorError};
 pub use tensor::Tensor;
-pub use workspace::Workspace;
+pub use workspace::{I16Panel, Workspace};

@@ -8,8 +8,11 @@
 //! can actually vectorize into packed multiply-accumulate instructions:
 //!
 //! * both operands are packed **k-contiguous** and pre-widened to `i16`
-//!   ([`pack_rows_i16`] / [`pack_cols_i16`]), sliced to a 64-byte-aligned
-//!   start so every vector load stays within one cache line;
+//!   ([`pack_rows_i16`] / [`pack_cols_i16`], or coded straight into that
+//!   layout by [`code_rows_i16_in`] and [`crate::code_im2row_i16_in`])
+//!   into workspace [`I16Panel`]s sliced to a 64-byte-aligned start, so
+//!   every vector load stays within one cache line and warm forwards
+//!   allocate no panel;
 //! * the microkernel is a plain single-accumulator `i16·i16→i32` dot
 //!   product ([`BAND_I8`] rows share one L1-resident rhs column). This
 //!   exact reduction shape is what LLVM's x86 partial-reduction pass
@@ -57,6 +60,7 @@
 
 use crate::exec::ExecCtx;
 use crate::tensor::Tensor;
+use crate::workspace::{I16Panel, Workspace};
 
 /// Rows per lhs band: how many output rows share one L1-resident rhs
 /// column before the kernel moves on (the i32 accumulator for a band is
@@ -72,22 +76,59 @@ pub const JB_I8: usize = 112;
 /// `K_CHUNK · 127² = 65 536 · 16 129 ≈ 1.06e9 < i32::MAX`.
 pub const K_CHUNK: usize = 1 << 16;
 
-/// Products below this many scalar multiply-adds skip packing and run a
-/// naive loop (same constant as the f32 kernels' tile gate).
-const TILE_GATE_I8: usize = 4096;
-
 /// The symmetric i8 code clamp: codes span `[-127, 127]` (−128 is never
 /// produced, keeping the grid symmetric around zero).
 pub const I8_QMAX: f32 = 127.0;
 
-/// Packed panels start 64-byte-aligned; `vec` allocations only guarantee
-/// element alignment, so buffers are padded by this many i16 elements and
-/// sliced at the aligned offset.
-const ALIGN_PAD: usize = 32;
+// ---------------------------------------------------------------------------
+// Symmetric quantization: the one coder
+// ---------------------------------------------------------------------------
 
-// ---------------------------------------------------------------------------
-// Symmetric quantization
-// ---------------------------------------------------------------------------
+/// `max|v|` over `src`, folded in independent lanes so it vectorizes.
+/// `f32::max` is exact, commutative and associative over non-NaN values
+/// and skips NaN in every lane, so the result equals the serial fold's bit
+/// for bit whatever the grouping.
+pub(crate) fn max_abs(src: &[f32]) -> f32 {
+    const LANES: usize = 16;
+    let mut lanes = [0.0f32; LANES];
+    let chunks = src.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = m.max(v.abs());
+        }
+    }
+    let head = lanes.iter().fold(0.0f32, |m, &v| m.max(v));
+    tail.iter().fold(head, |m, &v| m.max(v.abs()))
+}
+
+/// The dequantization scale and the coding multiplier for a slice whose
+/// largest magnitude is `max_abs`: `(max/127, 127/max)`, or `(0, 0)` for
+/// an all-zero slice, whose codes are then all 0.
+pub(crate) fn symmetric_scale(max_abs: f32) -> (f32, f32) {
+    if max_abs == 0.0 {
+        (0.0, 0.0)
+    } else {
+        (max_abs / I8_QMAX, I8_QMAX / max_abs)
+    }
+}
+
+/// The symmetric i8 code of `v` under the multiplier `inv`: the only
+/// rounding implementation of the integer path.
+///
+/// Exactly `(v * inv).round().clamp(-127, 127)` (round half away from
+/// zero; NaN codes 0) for every f32, in a form that vectorizes where
+/// `f32::round` is a libm call: clamp first (rounding commutes with a
+/// clamp to integer bounds), truncate through `i32`, then step one away
+/// from zero when the dropped fraction is at least one half. The fraction
+/// `y − trunc(y)` is exact because `|y| ≤ 127`.
+#[inline(always)]
+pub(crate) fn code(v: f32, inv: f32) -> i16 {
+    let y = (v * inv).clamp(-I8_QMAX, I8_QMAX);
+    let t = y as i32;
+    let frac = y - t as f32;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i16
+}
 
 /// Quantizes an f32 slice onto the symmetric i8 grid, returning the codes
 /// and the dequantization scale (`v ≈ scale · code`).
@@ -98,30 +139,27 @@ const ALIGN_PAD: usize = 32;
 /// zero codes with `scale = 0.0` — the dequantized product is then exactly
 /// zero, which is correct.
 pub fn quantize_symmetric_i8(src: &[f32]) -> (Vec<i8>, f32) {
-    let max_abs = src.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    if max_abs == 0.0 {
-        return (vec![0i8; src.len()], 0.0);
+    let (scale, inv) = symmetric_scale(max_abs(src));
+    (src.iter().map(|&v| code(v, inv) as i8).collect(), scale)
+}
+
+/// [`quantize_symmetric_i8`] straight into a workspace i16 panel of the
+/// same layout: the code-and-pack step for an operand whose reduction axis
+/// is already contiguous (the linear layer's input rows). Equal, bit for
+/// bit, to `quantize_symmetric_i8` then [`pack_rows_i16`], without the
+/// intermediate `Vec<i8>`.
+pub fn code_rows_i16_in(ws: &Workspace, src: &[f32]) -> (I16Panel, f32) {
+    let (scale, inv) = symmetric_scale(max_abs(src));
+    let mut panel = ws.take_panel_i16(src.len());
+    for (d, &v) in panel.iter_mut().zip(src) {
+        *d = code(v, inv);
     }
-    let scale = max_abs / I8_QMAX;
-    let inv = I8_QMAX / max_abs;
-    let codes = src
-        .iter()
-        .map(|&v| (v * inv).round().clamp(-I8_QMAX, I8_QMAX) as i8)
-        .collect();
-    (codes, scale)
+    (panel, scale)
 }
 
 // ---------------------------------------------------------------------------
 // Packing
 // ---------------------------------------------------------------------------
-
-/// Allocates a zeroed i16 panel buffer with [`ALIGN_PAD`] slack and
-/// returns it with the element offset of the first 64-byte-aligned slot.
-fn aligned_i16_buf(len: usize) -> (Vec<i16>, usize) {
-    let buf = vec![0i16; len + ALIGN_PAD];
-    let off = buf.as_ptr().align_offset(64).min(ALIGN_PAD);
-    (buf, off)
-}
 
 /// Widens i8 codes into an i16 panel, preserving layout: the pack step
 /// for an operand whose reduction axis is already contiguous (lhs rows,
@@ -277,55 +315,82 @@ fn gemm_span_i8(
     }
 }
 
-/// Naive split-K fallback for products too small to amortize packing.
-#[allow(clippy::too_many_arguments)]
-fn naive_i8(
-    ctx: &ExecCtx,
-    m: usize,
-    kdim: usize,
-    n: usize,
-    a_row: impl Fn(usize, usize) -> i8 + Sync,
-    b_col: impl Fn(usize, usize) -> i8 + Sync,
-    scale: f32,
-    col_bias: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let _ = m;
-    ctx.for_each_chunk(out, n, kdim * n, |i, crow| {
-        for (j, cj) in crow.iter_mut().enumerate() {
-            let mut wide = 0i64;
-            let mut k0 = 0;
-            while k0 < kdim {
-                let kc = K_CHUNK.min(kdim - k0);
-                let mut acc = 0i32;
-                for k in k0..k0 + kc {
-                    acc += (a_row(i, k) as i16 * b_col(k, j) as i16) as i32;
-                }
-                wide += acc as i64;
-                k0 += kc;
-            }
-            *cj = wide as f32 * scale + col_bias.map_or(0.0, |b| b[j]);
-        }
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Public entry points
 // ---------------------------------------------------------------------------
 
+/// `C = (s · A·Bᵀ) + bias` over packed i16 panels: `apanel` holds the `m`
+/// lhs rows and `bpanel` the `n` rhs columns, each a k-contiguous run of
+/// `kdim` codes (the layouts [`pack_rows_i16`] and [`pack_cols_i16`]
+/// produce). The one integer GEMM body: [`matmul_i8_in`] and
+/// [`matmul_i8_a_bt_in`] pack and call it, and the layer forwards hand it
+/// panels they code their activations straight into.
+///
+/// The dequantization scale `s` (typically `s_a · s_w`) and the optional
+/// per-column `bias` (length `n`) are fused into the epilogue. The integer
+/// part is exact for any K (split-K i64 accumulation), so results are
+/// bit-identical for any thread count. `sparse_lhs` selects the
+/// zero-skipping dot — callers that measured their operand density at
+/// quantize time pass it down, mirroring the f32 kernels'
+/// [`crate::Density`] gate; it never changes results.
+///
+/// The output tensor is drawn from the context's workspace arena; recycle
+/// it like any kernel output.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_i8_panels_in(
+    ctx: &ExecCtx,
+    m: usize,
+    kdim: usize,
+    n: usize,
+    apanel: &[i16],
+    bpanel: &[i16],
+    scale: f32,
+    bias: Option<&[f32]>,
+    sparse_lhs: bool,
+) -> Tensor {
+    assert_eq!(
+        apanel.len(),
+        m * kdim,
+        "matmul_i8: lhs panel length mismatch"
+    );
+    assert_eq!(
+        bpanel.len(),
+        n * kdim,
+        "matmul_i8: rhs panel length mismatch"
+    );
+    if let Some(bv) = bias {
+        assert_eq!(bv.len(), n, "matmul_i8: bias length mismatch");
+    }
+    let mut c = ctx.workspace().take_tensor(&[m, n]);
+    if m == 0 || n == 0 {
+        return c;
+    }
+    if kdim == 0 {
+        if let Some(bv) = bias {
+            for crow in c.data_mut().chunks_mut(n) {
+                crow.copy_from_slice(bv);
+            }
+        }
+        return c;
+    }
+    ctx.for_each_span(
+        c.data_mut(),
+        BAND_I8 * n,
+        BAND_I8 * n * kdim,
+        |band0, span| {
+            gemm_span_i8(
+                band0, span, n, kdim, apanel, bpanel, scale, bias, sparse_lhs,
+            );
+        },
+    );
+    c
+}
+
 /// `C = (s · A·B)` for i8 code matrices `A: (m, k)` row-major and
 /// `B: (k, n)` row-major, with the dequantization scale `s` (typically
 /// `s_a · s_w` from [`quantize_symmetric_i8`] of each operand) fused into
-/// the epilogue. The integer part is exact for any K (split-K i64
-/// accumulation), so results are bit-identical for any thread count.
-///
-/// `sparse_lhs` selects the zero-skipping dot — callers that measured
-/// their operand density at quantize time pass it down, mirroring the f32
-/// kernels' [`crate::Density`] gate; it never changes results.
-///
-/// The output tensor is drawn from the context's workspace arena;
-/// recycle it like any kernel output. Pack buffers are plain `Vec<i16>`
-/// allocations (the arena pools f32 only).
+/// the epilogue: packs both operands into workspace panels and runs
+/// [`matmul_i8_panels_in`].
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_i8_in(
     ctx: &ExecCtx,
@@ -340,42 +405,14 @@ pub fn matmul_i8_in(
     assert_eq!(a.len(), m * kdim, "matmul_i8: lhs length mismatch");
     assert_eq!(b.len(), kdim * n, "matmul_i8: rhs length mismatch");
     let ws = ctx.workspace();
-    let mut c = ws.take_tensor(&[m, n]);
-    if m == 0 || n == 0 || kdim == 0 {
-        return c;
-    }
-    if m * n * kdim < TILE_GATE_I8 {
-        naive_i8(
-            ctx,
-            m,
-            kdim,
-            n,
-            |i, k| a[i * kdim + k],
-            |k, j| b[k * n + j],
-            scale,
-            None,
-            c.data_mut(),
-        );
-        return c;
-    }
-    // A rows are already k-contiguous: widen in place.
-    let (mut abuf, aoff) = aligned_i16_buf(m * kdim);
-    pack_rows_i16(a, &mut abuf[aoff..aoff + m * kdim]);
+    let mut apanel = ws.take_panel_i16(m * kdim);
+    pack_rows_i16(a, &mut apanel);
     // B is (k, n) row-major: transpose-widen into k-contiguous columns.
-    let (mut bbuf, boff) = aligned_i16_buf(kdim * n);
-    pack_cols_i16(b, kdim, n, &mut bbuf[boff..boff + kdim * n]);
-    let apanel = &abuf[aoff..aoff + m * kdim];
-    let bpanel = &bbuf[boff..boff + kdim * n];
-    ctx.for_each_span(
-        c.data_mut(),
-        BAND_I8 * n,
-        BAND_I8 * n * kdim,
-        |band0, span| {
-            gemm_span_i8(
-                band0, span, n, kdim, apanel, bpanel, scale, None, sparse_lhs,
-            );
-        },
-    );
+    let mut bpanel = ws.take_panel_i16(kdim * n);
+    pack_cols_i16(b, kdim, n, &mut bpanel);
+    let c = matmul_i8_panels_in(ctx, m, kdim, n, &apanel, &bpanel, scale, None, sparse_lhs);
+    ws.recycle_panel_i16(apanel);
+    ws.recycle_panel_i16(bpanel);
     c
 }
 
@@ -399,52 +436,14 @@ pub fn matmul_i8_a_bt_in(
 ) -> Tensor {
     assert_eq!(a.len(), m * kdim, "matmul_i8_a_bt: lhs length mismatch");
     assert_eq!(b.len(), n * kdim, "matmul_i8_a_bt: rhs length mismatch");
-    if let Some(bv) = bias {
-        assert_eq!(bv.len(), n, "matmul_i8_a_bt: bias length mismatch");
-    }
     let ws = ctx.workspace();
-    let mut c = ws.take_tensor(&[m, n]);
-    if m == 0 || n == 0 {
-        return c;
-    }
-    if kdim == 0 {
-        if let Some(bv) = bias {
-            for crow in c.data_mut().chunks_mut(n) {
-                crow.copy_from_slice(bv);
-            }
-        }
-        return c;
-    }
-    if m * n * kdim < TILE_GATE_I8 {
-        naive_i8(
-            ctx,
-            m,
-            kdim,
-            n,
-            |i, k| a[i * kdim + k],
-            |k, j| b[j * kdim + k],
-            scale,
-            bias,
-            c.data_mut(),
-        );
-        return c;
-    }
-    let (mut abuf, aoff) = aligned_i16_buf(m * kdim);
-    pack_rows_i16(a, &mut abuf[aoff..aoff + m * kdim]);
-    let (mut bbuf, boff) = aligned_i16_buf(n * kdim);
-    pack_rows_i16(b, &mut bbuf[boff..boff + n * kdim]);
-    let apanel = &abuf[aoff..aoff + m * kdim];
-    let bpanel = &bbuf[boff..boff + n * kdim];
-    ctx.for_each_span(
-        c.data_mut(),
-        BAND_I8 * n,
-        BAND_I8 * n * kdim,
-        |band0, span| {
-            gemm_span_i8(
-                band0, span, n, kdim, apanel, bpanel, scale, bias, sparse_lhs,
-            );
-        },
-    );
+    let mut apanel = ws.take_panel_i16(m * kdim);
+    pack_rows_i16(a, &mut apanel);
+    let mut bpanel = ws.take_panel_i16(n * kdim);
+    pack_rows_i16(b, &mut bpanel);
+    let c = matmul_i8_panels_in(ctx, m, kdim, n, &apanel, &bpanel, scale, bias, sparse_lhs);
+    ws.recycle_panel_i16(apanel);
+    ws.recycle_panel_i16(bpanel);
     c
 }
 
@@ -565,6 +564,64 @@ mod tests {
         let (zc, zs) = quantize_symmetric_i8(&[0.0, 0.0]);
         assert_eq!(zc, vec![0, 0]);
         assert_eq!(zs, 0.0);
+    }
+
+    /// The vectorizable coder equals `round().clamp()` on every f32 of
+    /// magnitude up to 130 at a prime bit stride, on every half-integer
+    /// and its neighbours, and on the non-finite values.
+    #[test]
+    fn code_matches_round_then_clamp() {
+        let old = |y: f32| y.round().clamp(-I8_QMAX, I8_QMAX) as i16;
+        let limit = 130.0f32.to_bits();
+        let strided = (0..limit).step_by(997).map(f32::from_bits);
+        let halves = (-262..=262).flat_map(|h| {
+            let x = h as f32 * 0.5;
+            let bits = x.to_bits();
+            [
+                f32::from_bits(bits.wrapping_sub(1)),
+                x,
+                f32::from_bits(bits.wrapping_add(1)),
+            ]
+        });
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-45];
+        for y in strided.chain(halves).chain(special) {
+            for v in [y, -y] {
+                assert_eq!(code(v, 1.0), old(v), "y = {v:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_max_equals_serial_max() {
+        let mut src: Vec<f32> = random_codes(1000, 3)
+            .iter()
+            .map(|&c| f32::from(c) * 0.37)
+            .collect();
+        src[517] = f32::NAN;
+        src[998] = -300.0;
+        for len in [0, 1, 15, 16, 17, 999, 1000] {
+            let serial = src[..len].iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            assert_eq!(
+                max_abs(&src[..len]).to_bits(),
+                serial.to_bits(),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn coded_rows_equal_quantize_then_pack() {
+        let src: Vec<f32> = random_codes(300, 4)
+            .iter()
+            .map(|&c| f32::from(c) * -0.013)
+            .collect();
+        let ws = Workspace::new();
+        let (codes, scale) = quantize_symmetric_i8(&src);
+        let mut want = vec![0i16; src.len()];
+        pack_rows_i16(&codes, &mut want);
+        let (panel, got) = code_rows_i16_in(&ws, &src);
+        assert_eq!(got.to_bits(), scale.to_bits());
+        assert_eq!(&panel[..], &want[..]);
     }
 
     #[test]

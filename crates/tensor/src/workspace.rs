@@ -30,10 +30,21 @@
 //!   separate cloned contexts never contend on a pool lock.
 //! * Pools are bounded ([`MAX_POOLED_PER_CLASS`] buffers per class), so a
 //!   one-off giant temporary cannot pin unbounded memory.
+//!
+//! # Integer panels
+//!
+//! The i8 GEMM's k-contiguous i16 operand panels come from a second free
+//! list beside the f32 one, with the same capacity classes, bounds and
+//! counters: [`Workspace::take_panel_i16`] returns an [`I16Panel`] sliced
+//! at its first 64-byte-aligned element, [`Workspace::recycle_panel_i16`]
+//! files it back. Panels are *not* zero-filled — every producer (the
+//! `pack_*` functions and the fused activation lowering) writes each
+//! element — so a warm panel costs no memset.
 
 use crate::shape::ShapeExt;
 use crate::tensor::Tensor;
 use parking_lot::Mutex;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Smallest capacity class; requests below this still get a 64-element
@@ -45,15 +56,90 @@ const MIN_CLASS: usize = 64;
 /// against unbounded growth from pathological recycle patterns.
 const MAX_POOLED_PER_CLASS: usize = 32;
 
+/// Slack, in i16 elements, that lets an [`I16Panel`] start on a 64-byte
+/// boundary: `Vec` only guarantees element alignment.
+const PANEL_ALIGN_PAD: usize = 32;
+
 /// One free-list of same-class buffers.
 #[derive(Debug)]
-struct Pool {
+struct Pool<T> {
     class: usize,
-    buffers: Vec<Vec<f32>>,
+    buffers: Vec<Vec<T>>,
 }
 
-/// A bump-style pool of reusable `Vec<f32>` buffers keyed by capacity
-/// class, carried on [`crate::ExecCtx`].
+/// Free lists of one element type, one per capacity class.
+#[derive(Debug)]
+struct FreeLists<T>(Mutex<Vec<Pool<T>>>);
+
+impl<T> FreeLists<T> {
+    const fn new() -> Self {
+        FreeLists(Mutex::new(Vec::new()))
+    }
+
+    fn pop(&self, class: usize) -> Option<Vec<T>> {
+        self.0
+            .lock()
+            .iter_mut()
+            .find(|p| p.class == class)
+            .and_then(|p| p.buffers.pop())
+    }
+
+    /// Files `buf` under the largest class its capacity fully covers, so
+    /// a later take of that class never needs to grow it (workspace
+    /// buffers have power-of-two capacity and round-trip under their
+    /// original class). Buffers below the minimum class, or over a full
+    /// class, are dropped instead — recycling is a hint, never an
+    /// obligation.
+    fn push(&self, buf: Vec<T>) {
+        let cap = buf.capacity();
+        if cap < MIN_CLASS {
+            return;
+        }
+        let class = 1usize << (usize::BITS - 1 - cap.leading_zeros());
+        let mut pools = self.0.lock();
+        match pools.iter_mut().find(|p| p.class == class) {
+            Some(p) => {
+                if p.buffers.len() < MAX_POOLED_PER_CLASS {
+                    p.buffers.push(buf);
+                }
+            }
+            None => pools.push(Pool {
+                class,
+                buffers: vec![buf],
+            }),
+        }
+    }
+}
+
+/// A k-contiguous i16 GEMM operand panel drawn from a [`Workspace`]: a
+/// pooled buffer viewed from its first 64-byte-aligned element, so the
+/// integer kernel's vector loads stay within one cache line.
+///
+/// Derefs to exactly the requested number of elements. The contents of a
+/// fresh take are unspecified (stale codes of an earlier use): the
+/// producer must write every element.
+#[derive(Debug)]
+pub struct I16Panel {
+    buf: Vec<i16>,
+    off: usize,
+}
+
+impl Deref for I16Panel {
+    type Target = [i16];
+
+    fn deref(&self) -> &[i16] {
+        &self.buf[self.off..]
+    }
+}
+
+impl DerefMut for I16Panel {
+    fn deref_mut(&mut self) -> &mut [i16] {
+        &mut self.buf[self.off..]
+    }
+}
+
+/// A bump-style pool of reusable `Vec<f32>` buffers (and [`I16Panel`]s)
+/// keyed by capacity class, carried on [`crate::ExecCtx`].
 ///
 /// # Example
 ///
@@ -70,7 +156,8 @@ struct Pool {
 /// ```
 #[derive(Debug)]
 pub struct Workspace {
-    pools: Mutex<Vec<Pool>>,
+    f32s: FreeLists<f32>,
+    i16s: FreeLists<i16>,
     fresh: AtomicUsize,
     hits: AtomicUsize,
 }
@@ -80,7 +167,8 @@ impl Workspace {
     /// `ExecCtx::serial()` statics).
     pub const fn new() -> Self {
         Workspace {
-            pools: Mutex::new(Vec::new()),
+            f32s: FreeLists::new(),
+            i16s: FreeLists::new(),
             fresh: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
         }
@@ -91,36 +179,50 @@ impl Workspace {
         len.max(MIN_CLASS).next_power_of_two()
     }
 
+    /// A buffer of the class serving `len` elements: pooled when one
+    /// exists (capacity at least the class by the recycle invariant, so
+    /// resizing it to `len` never reallocates), else freshly allocated.
+    fn pop_or_alloc<T>(&self, lists: &FreeLists<T>, len: usize) -> Vec<T> {
+        let class = Self::class_of(len);
+        match lists.pop(class) {
+            Some(buf) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                buf
+            }
+            None => {
+                self.fresh.fetch_add(1, Ordering::Relaxed);
+                Vec::with_capacity(class)
+            }
+        }
+    }
+
     /// Takes a zero-filled buffer of exactly `len` elements, reusing a
     /// pooled allocation of the matching capacity class when one exists.
     pub fn take(&self, len: usize) -> Vec<f32> {
         if len == 0 {
             return Vec::new();
         }
-        let class = Self::class_of(len);
-        let pooled = {
-            let mut pools = self.pools.lock();
-            pools
-                .iter_mut()
-                .find(|p| p.class == class)
-                .and_then(|p| p.buffers.pop())
-        };
-        match pooled {
-            Some(mut buf) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                // Capacity is at least `class >= len` by the recycle
-                // invariant, so this never reallocates.
-                buf.clear();
-                buf.resize(len, 0.0);
-                buf
-            }
-            None => {
-                self.fresh.fetch_add(1, Ordering::Relaxed);
-                let mut buf = Vec::with_capacity(class);
-                buf.resize(len, 0.0);
-                buf
-            }
-        }
+        let mut buf = self.pop_or_alloc(&self.f32s, len);
+        buf.clear();
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// Takes an i16 panel of exactly `len` elements starting on a 64-byte
+    /// boundary, from the i16 free list. Not zero-filled: see
+    /// [`I16Panel`].
+    pub fn take_panel_i16(&self, len: usize) -> I16Panel {
+        let mut buf = self.pop_or_alloc(&self.i16s, len + PANEL_ALIGN_PAD);
+        let off = buf.as_ptr().align_offset(64).min(PANEL_ALIGN_PAD);
+        // A warm buffer keeps its stale contents; only a grown tail is
+        // written (with zeros).
+        buf.resize(off + len, 0);
+        I16Panel { buf, off }
+    }
+
+    /// Returns a panel's buffer to the i16 free list for reuse.
+    pub fn recycle_panel_i16(&self, panel: I16Panel) {
+        self.i16s.push(panel.buf);
     }
 
     /// Takes a zero-filled tensor of the given shape from the pool.
@@ -135,27 +237,7 @@ impl Workspace {
     /// pool is full, are dropped (freed) instead — recycling is a hint,
     /// never an obligation.
     pub fn recycle_vec(&self, buf: Vec<f32>) {
-        // File under the largest class the capacity fully covers, so a
-        // later `take` of that class never needs to grow the buffer.
-        // Workspace-originated buffers have power-of-two capacity and
-        // round-trip under their original class.
-        let cap = buf.capacity();
-        if cap < MIN_CLASS {
-            return;
-        }
-        let class = 1usize << (usize::BITS - 1 - cap.leading_zeros());
-        let mut pools = self.pools.lock();
-        match pools.iter_mut().find(|p| p.class == class) {
-            Some(p) => {
-                if p.buffers.len() < MAX_POOLED_PER_CLASS {
-                    p.buffers.push(buf);
-                }
-            }
-            None => pools.push(Pool {
-                class,
-                buffers: vec![buf],
-            }),
-        }
+        self.f32s.push(buf);
     }
 
     /// Returns a tensor's backing buffer to the pool for reuse.
@@ -280,9 +362,29 @@ mod tests {
         for _ in 0..(MAX_POOLED_PER_CLASS + 8) {
             ws.recycle_vec(vec![0.0; 64]);
         }
-        let pools = ws.pools.lock();
+        let pools = ws.f32s.0.lock();
         assert_eq!(pools.len(), 1);
         assert!(pools[0].buffers.len() <= MAX_POOLED_PER_CLASS);
+    }
+
+    #[test]
+    fn panels_are_aligned_and_pooled_beside_f32() {
+        let ws = Workspace::new();
+        let mut p = ws.take_panel_i16(1000);
+        assert_eq!(p.len(), 1000);
+        assert_eq!(p.as_ptr() as usize % 64, 0, "panel starts 64-byte-aligned");
+        p.fill(7);
+        let ptr = p.as_ptr() as usize;
+        ws.recycle_panel_i16(p);
+        // An f32 take of the same class never receives the i16 buffer.
+        let f = ws.take(1000);
+        assert_eq!(ws.pool_hits(), 0);
+        ws.recycle_vec(f);
+        let q = ws.take_panel_i16(1010);
+        assert_eq!(q.as_ptr() as usize, ptr, "same-class panel take reuses it");
+        assert_eq!(q.len(), 1010);
+        assert_eq!(ws.fresh_allocs(), 2);
+        assert_eq!(ws.pool_hits(), 1);
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //! The integer kernel packs its lhs row-major and its rhs
 //! transpose-widened into k-contiguous i16 columns; these tests pin the
 //! layout with the public `pack_*`/`unpack_*` pairs (inverse on every
-//! shape, including remainder tiles around the packing block size) and
-//! pin the split-K accumulator widening at reductions long enough that a
-//! plain i32 accumulator would wrap.
+//! shape, including remainder tiles around the packing block size), pin
+//! the fused code-and-lower panel of the i8 convolution to the
+//! im2col → quantize → pack composition it replaces, check the
+//! panel-taking GEMM against the serial oracle, and pin the split-K
+//! accumulator widening at reductions long enough that a plain i32
+//! accumulator would wrap.
 
 use ams_tensor::rng;
 use ams_tensor::{
-    matmul_i8_in, matmul_i8_reference, pack_cols_i16, pack_rows_i16, unpack_cols_i16,
-    unpack_rows_i16, ExecCtx,
+    code_im2row_i16_in, im2col_in, matmul_i8_in, matmul_i8_panels_in, matmul_i8_reference,
+    pack_cols_i16, pack_rows_i16, quantize_symmetric_i8, unpack_cols_i16, unpack_rows_i16,
+    ConvGeom, ExecCtx, Parallelism, Tensor,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -25,8 +29,26 @@ fn codes(len: usize, seed: u64) -> Vec<i8> {
         .collect()
 }
 
+/// A context that splits every op across `threads` workers.
+fn eager(threads: usize) -> ExecCtx {
+    ExecCtx::new(Parallelism {
+        threads,
+        min_work: 0,
+    })
+}
+
+/// The composition the fused lowering replaces: the f32 column matrix,
+/// coded onto the i8 grid, transpose-widened into k-contiguous columns.
+fn lowered_the_old_way(x: &Tensor, geom: &ConvGeom) -> (Vec<i16>, f32) {
+    let cols = im2col_in(&ExecCtx::serial(), x, geom);
+    let (codes, scale) = quantize_symmetric_i8(cols.data());
+    let mut panel = vec![0i16; codes.len()];
+    pack_cols_i16(&codes, geom.rows(), geom.cols(), &mut panel);
+    (panel, scale)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Row panels: pack then unpack is the identity, and packing is a
     /// pure widening (the panel holds exactly the codes, order intact).
@@ -68,6 +90,79 @@ proptest! {
         let mut back = vec![0i8; kdim * n];
         unpack_cols_i16(&panel, kdim, n, &mut back);
         prop_assert_eq!(back, src);
+    }
+
+    /// Code-once-and-lower equals im2col → `quantize_symmetric_i8` →
+    /// `pack_cols_i16` bit for bit, panel and scale, over odd sizes, the
+    /// kernels of both zoo members (1, 3, 5), padding 0–2 and strides 1–2
+    /// (a 1×1 stride-2 tap grid skips input positions, which must not
+    /// count toward the scale), unit or signed inputs, at any thread
+    /// count.
+    #[test]
+    fn code_im2row_equals_im2col_quantize_pack(
+        n in 1usize..4,
+        c in 1usize..6,
+        h in 1usize..12,
+        w in 1usize..12,
+        kernel in 0usize..3,
+        pad in 0usize..3,
+        stride in 1usize..3,
+        signed in 0u8..2,
+        threads in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (k, threads, signed) = ([1, 3, 5][kernel], [1, 2, 8][threads], signed == 1);
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let geom = ConvGeom::new(n, c, h, w, k, k, stride, pad);
+        let mut x = Tensor::zeros(&[n, c, h, w]);
+        let lo = if signed { -1.0 } else { 0.0 };
+        rng::fill_uniform(&mut x, lo, 1.0, &mut rng::seeded(seed));
+        // A large value off the tap grid must not move the scale.
+        if stride == 2 && pad == 0 && w > 1 {
+            x.data_mut()[1] = 40.0;
+        }
+        let (want, want_scale) = lowered_the_old_way(&x, &geom);
+        let (panel, scale) = code_im2row_i16_in(&eager(threads), &x, &geom);
+        prop_assert_eq!(scale.to_bits(), want_scale.to_bits());
+        prop_assert_eq!(&panel[..], &want[..]);
+    }
+
+    /// The panel-taking GEMM on panels packed from random codes equals
+    /// the serial i64 oracle, at any thread count, on both dot branches.
+    #[test]
+    fn panel_gemm_matches_reference(
+        m in 1usize..20,
+        k in 1usize..80,
+        n in 1usize..130,
+        sparse in 0u8..2,
+        threads in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (sparse, threads) = (sparse == 1, [1, 2, 8][threads]);
+        let a = codes(m * k, seed);
+        let b = codes(k * n, seed + 1);
+        let mut ap = vec![0i16; m * k];
+        pack_rows_i16(&a, &mut ap);
+        let mut bp = vec![0i16; k * n];
+        pack_cols_i16(&b, k, n, &mut bp);
+        let want = matmul_i8_reference(m, k, n, &a, &b, 0.25);
+        let got = matmul_i8_panels_in(&eager(threads), m, k, n, &ap, &bp, 0.25, None, sparse);
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// An all-zero input codes to an all-zero panel with scale 0, exactly as
+/// the old composition did.
+#[test]
+fn all_zero_input_lowers_to_zero_codes_and_scale() {
+    let geom = ConvGeom::new(2, 3, 5, 7, 3, 3, 1, 1);
+    let x = Tensor::zeros(&[2, 3, 5, 7]);
+    let (want, want_scale) = lowered_the_old_way(&x, &geom);
+    for threads in [1, 2, 8] {
+        let (panel, scale) = code_im2row_i16_in(&eager(threads), &x, &geom);
+        assert_eq!(scale.to_bits(), want_scale.to_bits());
+        assert_eq!(scale, 0.0);
+        assert_eq!(&panel[..], &want[..]);
     }
 }
 
