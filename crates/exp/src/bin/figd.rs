@@ -9,7 +9,7 @@ fn main() {
         &[
             "Expected shape: drifting-pcm accuracy decays with inference time while the",
             "time-invariant anchor stays flat; the compensated series claws back part of",
-            "the drift-induced loss (see DESIGN.md §16).",
+            "the drift-induced loss (see DESIGN.md §15).",
         ],
     );
 }

@@ -179,11 +179,6 @@ fn main() {
                 .join(", ")
         );
 
-        // Sweep workers only journal shard records; the coordinator's
-        // final replay writes the canonical markdown exactly once.
-        if std::env::var_os(ams_exp::shard::WORKER_ENV).is_some() {
-            return;
-        }
         let path = dir.join(format!("report_{scale_name}.md"));
         if let Err(e) = std::fs::write(&path, md) {
             eprintln!("failed to write {}: {e}", path.display());

@@ -2,12 +2,10 @@
 //! `--metrics <path>` observability flag.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use ams_core::error_model::{ErrorModelConfig, ErrorModelKind, PartitionSpec, DRIFT_NU_DEFAULT};
 use ams_core::vmac_sim::AdcBehavior;
 use ams_models::ModelKind;
-use ams_obs::lease::LeaseManager;
 use ams_quant::QuantScheme;
 use ams_tensor::obs::{MetricsReport, CSV_HEADERS};
 use ams_tensor::{ExecCtx, KernelDispatch, MetricsSink};
@@ -15,25 +13,16 @@ use ams_tensor::{ExecCtx, KernelDispatch, MetricsSink};
 use crate::report::{write_csv, Report};
 use crate::runner::Experiments;
 use crate::scale::Scale;
-use crate::shard::{self, CoordinatorConfig, WorkerCoordination, WORKER_FAILED_EXIT_CODE};
 
 /// Parsed command-line options common to every experiment binary:
 ///
 /// ```text
-/// [--scale quick|full|test] [--results DIR] [--threads N] [--workers N] [--lease-ttl-ms MS]
-/// [--metrics PATH] [--resume]
+/// [--scale quick|full|test] [--results DIR] [--threads N] [--metrics PATH] [--resume]
 /// [--model resnet-mini|lenet5] [--quant dorefa|bfp] [--bfp-block N] [--kernel f32|i8]
 /// [--error-model lumped|composite|per-vmac|drifting-pcm|ideal] [--multiplier-sigma S]
 /// [--adc ideal|quantizing|delta-sigma[:BITS]|ref-scaled:ALPHA] [--partition NW,NX,ENOB]
 /// [--drift-nu NU] [--at-times T1,T2,...] [--compensate]
 /// ```
-///
-/// `--workers N` shards the run's sweeps across N spawned worker
-/// processes claiming points through expiring leases, then merges their
-/// journals and replays the result in this process — CSVs are
-/// byte-identical to a single-process run (see EXPERIMENTS.md "Sharded
-/// sweeps" and DESIGN.md §15). `--lease-ttl-ms` tunes how quickly a
-/// crashed worker's points are reclaimed (default 30 000).
 ///
 /// `--model` picks the zoo member the suite builds (see DESIGN.md §12):
 /// the default `resnet-mini` or the LeNet-style `lenet5`, both sized for
@@ -109,22 +98,14 @@ pub struct Cli {
     pub quant: QuantScheme,
     /// The matmul dispatch selected by `--kernel` (default: f32).
     pub kernel: KernelDispatch,
-    /// `--workers N`: shard the run's sweeps across N worker processes
-    /// (see DESIGN.md §15). `None` runs everything in this process.
-    pub workers: Option<u32>,
-    /// `--lease-ttl-ms MS`: how long a worker's claim on a sweep point
-    /// lives between heartbeats before rivals may steal it (default
-    /// 30 000 ms; lower it in tests/chaos runs to reclaim crashed
-    /// workers' points quickly).
-    pub lease_ttl_ms: u64,
     /// `--at-times T1,T2,...`: the simulated inference times (seconds
     /// after programming) figD evaluates at, overriding the scale
     /// preset's drift grid. Each must be positive and finite. `None`
-    /// keeps the preset grid (see DESIGN.md §16).
+    /// keeps the preset grid (see DESIGN.md §15).
     pub at_times: Option<Vec<f64>>,
     /// `--compensate`: fit CorrectNet-style per-layer affine
     /// compensation post-quantization and apply it at evaluation (see
-    /// DESIGN.md §16). Non-default scenario: artifacts gain a `-comp`
+    /// DESIGN.md §15). Non-default scenario: artifacts gain a `-comp`
     /// suffix.
     pub compensate: bool,
     ctx: ExecCtx,
@@ -132,7 +113,7 @@ pub struct Cli {
 
 /// The one-line flag synopsis shared by every experiment binary's usage
 /// error (see [`usage_exit`]).
-pub const USAGE: &str = "[--scale quick|full|test] [--results DIR] [--threads N] [--workers N] [--lease-ttl-ms MS] [--metrics PATH] [--resume] [--model resnet-mini|lenet5] [--quant dorefa|bfp] [--bfp-block N] [--kernel f32|i8] [--error-model lumped|composite|per-vmac|drifting-pcm|ideal] [--multiplier-sigma S] [--adc ideal|quantizing|delta-sigma[:BITS]|ref-scaled:ALPHA] [--partition NW,NX,ENOB] [--drift-nu NU] [--at-times T1,T2,...] [--compensate]";
+pub const USAGE: &str = "[--scale quick|full|test] [--results DIR] [--threads N] [--metrics PATH] [--resume] [--model resnet-mini|lenet5] [--quant dorefa|bfp] [--bfp-block N] [--kernel f32|i8] [--error-model lumped|composite|per-vmac|drifting-pcm|ideal] [--multiplier-sigma S] [--adc ideal|quantizing|delta-sigma[:BITS]|ref-scaled:ALPHA] [--partition NW,NX,ENOB] [--drift-nu NU] [--at-times T1,T2,...] [--compensate]";
 
 /// The process exit code for command-line usage errors (unknown flag,
 /// missing value, unparsable value). Distinct from the generic panic
@@ -182,8 +163,6 @@ impl Cli {
         let mut quant_name = "dorefa".to_string();
         let mut bfp_block: Option<usize> = None;
         let mut kernel = KernelDispatch::F32;
-        let mut workers: Option<u32> = None;
-        let mut lease_ttl_ms: u64 = 30_000;
         let mut drift_nu: Option<f64> = None;
         let mut at_times: Option<Vec<f64>> = None;
         let mut compensate = false;
@@ -260,16 +239,6 @@ impl Cli {
                     kernel = KernelDispatch::by_name(value(i, "--kernel")?)?;
                     i += 2;
                 }
-                "--workers" => {
-                    let n: u32 = value(i, "--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers needs a positive integer: {e}"))?;
-                    if n == 0 {
-                        return Err("--workers needs a positive integer: got 0".into());
-                    }
-                    workers = Some(n);
-                    i += 2;
-                }
                 "--drift-nu" => {
                     let nu: f64 = value(i, "--drift-nu")?
                         .parse()
@@ -290,15 +259,6 @@ impl Cli {
                     compensate = true;
                     i += 1;
                 }
-                "--lease-ttl-ms" => {
-                    lease_ttl_ms = value(i, "--lease-ttl-ms")?
-                        .parse()
-                        .map_err(|e| format!("--lease-ttl-ms needs a positive integer: {e}"))?;
-                    if lease_ttl_ms == 0 {
-                        return Err("--lease-ttl-ms needs a positive integer: got 0".into());
-                    }
-                    i += 2;
-                }
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
@@ -317,8 +277,6 @@ impl Cli {
             model,
             quant: assemble_quant_scheme(&quant_name, bfp_block)?,
             kernel,
-            workers,
-            lease_ttl_ms,
             at_times,
             compensate,
             ctx,
@@ -350,36 +308,6 @@ impl Cli {
         let report = registry.report();
         match write_metrics_report(path, &report) {
             Ok(()) => println!("wrote metrics report to {}", path.display()),
-            Err(e) => eprintln!("failed to write metrics to {}: {e}", path.display()),
-        }
-    }
-
-    /// Coordinator variant of [`Cli::write_metrics`]: folds the workers'
-    /// reports into the coordinator's own registry snapshot before
-    /// writing, so `sweep.point_ms` histogram counts and the `points.*`
-    /// counters cover the whole fleet, not just this process
-    /// ([`MetricsReport::merge`] — counters sum, timers sum, Welford
-    /// gauges merge exactly, histograms add per bucket). A no-op without
-    /// `--metrics`.
-    pub fn write_metrics_merged(&self, worker_reports: &[MetricsReport]) {
-        let Some(path) = &self.metrics_path else {
-            return;
-        };
-        let mut report = self
-            .ctx
-            .metrics()
-            .registry()
-            .map(|r| r.report())
-            .unwrap_or_default();
-        for wr in worker_reports {
-            report.merge(wr);
-        }
-        match write_metrics_report(path, &report) {
-            Ok(()) => println!(
-                "wrote merged metrics report ({} worker report(s)) to {}",
-                worker_reports.len(),
-                path.display()
-            ),
             Err(e) => eprintln!("failed to write metrics to {}: {e}", path.display()),
         }
     }
@@ -565,83 +493,16 @@ pub fn run_bin<R: Report>(build: impl FnOnce(&Experiments) -> R, epilogue: &[&st
 /// [`run_bin`] for binaries with bespoke output (e.g. the combined
 /// `report` binary): handles CLI parsing, suite assembly and the final
 /// metrics snapshot, leaving the body to `run`.
-///
-/// Three execution roles (DESIGN.md §15):
-///
-/// * **Worker** — [`shard::WORKER_ENV`] is set (this process was spawned
-///   by a coordinator): the suite runs with resume forced and a
-///   [`WorkerCoordination`] attached, so sweeps claim points through
-///   leases and journal into per-worker shards; report/CSV output is
-///   suppressed (see [`Report::report`]).
-/// * **Coordinator** — `--workers N` was given: spawn N workers, merge
-///   their shards, then run `run` in-process with resume forced so every
-///   point replays from the merged canonical journal and the CSVs are
-///   byte-identical to a single-worker run. Exits
-///   [`WORKER_FAILED_EXIT_CODE`] (after merging completed work) when any
-///   worker fails.
-/// * **Single** — neither: the original in-process path.
 pub fn run_bin_custom(run: impl FnOnce(&Experiments, &Cli)) {
     let cli = Cli::from_args();
-    let build_suite = |cli: &Cli| {
-        Experiments::new(cli.scale.clone(), &cli.results)
-            .with_ctx(cli.ctx())
-            .with_resume(cli.resume)
-            .with_error_model(cli.error_model)
-            .with_model(cli.model)
-            .with_quant(cli.quant)
-            .with_at_times(cli.at_times.clone())
-            .with_compensate(cli.compensate)
-    };
-
-    if let Some(worker_id) = shard::worker_id_from_env() {
-        let leases = LeaseManager::new(
-            shard::leases_dir(Path::new(&cli.results), &cli.scale.name),
-            format!("w{worker_id}-{}", std::process::id()),
-            Duration::from_millis(cli.lease_ttl_ms),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: worker {worker_id} cannot open the lease directory: {e}");
-            std::process::exit(1)
-        });
-        // Workers always resume: the coordinator precleaned (or kept, for
-        // --resume) shared state, and a worker must never clear journals
-        // its siblings are writing into.
-        let exp = build_suite(&cli)
-            .with_resume(true)
-            .with_worker(WorkerCoordination::new(leases, worker_id));
-        run(&exp, &cli);
-        cli.write_metrics();
-        return;
-    }
-
-    if let Some(workers) = cli.workers {
-        let cfg = CoordinatorConfig {
-            workers,
-            lease_ttl: Duration::from_millis(cli.lease_ttl_ms),
-            resume: cli.resume,
-            results_dir: PathBuf::from(&cli.results),
-            scale_name: cli.scale.name.to_string(),
-            metrics_path: cli.metrics_path.clone(),
-            metrics: cli.metrics().clone(),
-        };
-        match shard::run_coordinator(&cfg) {
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(WORKER_FAILED_EXIT_CODE);
-            }
-            Ok(worker_reports) => {
-                // Every point is in the merged canonical journal now; the
-                // in-process replay below recomputes nothing and writes
-                // the canonical CSVs deterministically.
-                let exp = build_suite(&cli).with_resume(true);
-                run(&exp, &cli);
-                cli.write_metrics_merged(&worker_reports);
-                return;
-            }
-        }
-    }
-
-    let exp = build_suite(&cli);
+    let exp = Experiments::new(cli.scale.clone(), &cli.results)
+        .with_ctx(cli.ctx())
+        .with_resume(cli.resume)
+        .with_error_model(cli.error_model)
+        .with_model(cli.model)
+        .with_quant(cli.quant)
+        .with_at_times(cli.at_times.clone())
+        .with_compensate(cli.compensate);
     run(&exp, &cli);
     cli.write_metrics();
 }
@@ -727,24 +588,6 @@ mod tests {
     fn resume_flag_parses() {
         assert!(parse(args(&["--resume"])).resume);
         assert!(!parse(args(&[])).resume);
-    }
-
-    #[test]
-    fn workers_and_lease_ttl_flags_parse() {
-        let cli = parse(args(&[]));
-        assert_eq!(cli.workers, None);
-        assert_eq!(cli.lease_ttl_ms, 30_000);
-
-        let cli = parse(args(&["--workers", "3", "--lease-ttl-ms", "2000"]));
-        assert_eq!(cli.workers, Some(3));
-        assert_eq!(cli.lease_ttl_ms, 2000);
-
-        parse_err(&["--workers", "0"], "--workers needs a positive integer");
-        parse_err(&["--workers", "many"], "--workers needs a positive integer");
-        parse_err(
-            &["--lease-ttl-ms", "0"],
-            "--lease-ttl-ms needs a positive integer",
-        );
     }
 
     #[test]
@@ -965,8 +808,6 @@ mod tests {
             "--adc",
             "--partition",
             "--kernel",
-            "--workers",
-            "--lease-ttl-ms",
             "--drift-nu",
             "--at-times",
         ] {

@@ -1,4 +1,4 @@
-//! CorrectNet-style per-layer affine compensation state (DESIGN.md §16).
+//! CorrectNet-style per-layer affine compensation state (DESIGN.md §15).
 //!
 //! Drift (and any other weight-domain error) shifts and scales every
 //! layer's output statistics. CorrectNet (arXiv 2211.14917) shows that a

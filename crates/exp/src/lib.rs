@@ -18,12 +18,12 @@
 //! | `ablations` | §4 — per-VMAC sim, ΔΣ recycling, partitioning, … |
 //!
 //! All binaries accept `--scale quick|full|test` (default `quick`),
-//! `--results <dir>` (default `results/`), `--threads <n>`,
-//! `--workers <m>` (shard the sweeps across m worker processes with
-//! lease-based point claiming; see EXPERIMENTS.md "Sharded sweeps" and
-//! DESIGN.md §15) and `--metrics <path>` (write a metrics report — layer
-//! timings, injected noise statistics, sweep rollups — as JSON, or CSV
-//! for a `.csv` path; see EXPERIMENTS.md). Expensive artifacts (trained
+//! `--results <dir>` (default `results/`), `--threads <n>` (sweeps run
+//! their points concurrently on that many threads; see EXPERIMENTS.md
+//! "Parallel sweeps"), `--resume` (replay a killed run's sweep journal)
+//! and `--metrics <path>` (write a metrics report — layer timings,
+//! injected noise statistics, sweep rollups — as JSON, or CSV for a
+//! `.csv` path; see EXPERIMENTS.md). Expensive artifacts (trained
 //! checkpoints) are cached in the results directory, so binaries can run
 //! in any order and share work.
 //!
@@ -47,7 +47,6 @@ mod compensate;
 mod report;
 mod runner;
 mod scale;
-pub mod shard;
 pub mod sweep;
 mod train;
 

@@ -90,15 +90,7 @@ pub trait Report {
     /// Prints the main table and any extras, then writes the CSVs into
     /// `dir`. I/O failures are ignored — reporting is best-effort and the
     /// printed output always happens.
-    ///
-    /// Suppressed entirely in a sweep worker process (the
-    /// [`crate::shard::WORKER_ENV`] marker is set): workers only journal
-    /// shard records; the coordinator's final in-process replay writes
-    /// the canonical tables and CSVs exactly once, byte-identically.
     fn report(&self, dir: &Path, scale_name: &str) {
-        if std::env::var_os(crate::shard::WORKER_ENV).is_some() {
-            return;
-        }
         let headers = self.headers();
         let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
         print_table(&self.title(), &header_refs, &self.rows());

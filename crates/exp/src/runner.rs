@@ -22,12 +22,9 @@ use ams_quant::{QuantConfig, QuantScheme};
 use ams_tensor::{ExecCtx, KernelDispatch};
 use serde::{Deserialize, Serialize};
 
-use ams_obs::lease::Claim;
-
 use crate::compensate::CompensationState;
 use crate::report::{print_table, write_csv, Report, Stat};
 use crate::scale::Scale;
-use crate::shard::WorkerCoordination;
 use crate::sweep::{RetryPolicy, Sweep};
 use crate::train::{eval_passes, train_scheduled_resumable};
 
@@ -59,7 +56,6 @@ pub struct Experiments {
     error_model: ErrorModelConfig,
     model: ModelSpec,
     quant_scheme: QuantScheme,
-    worker: Option<WorkerCoordination>,
     at_times: Option<Vec<f64>>,
     compensate: bool,
 }
@@ -78,22 +74,9 @@ impl Experiments {
             error_model: ErrorModelConfig::default(),
             model,
             quant_scheme: QuantScheme::Dorefa,
-            worker: None,
             at_times: None,
             compensate: false,
         }
-    }
-
-    /// Puts this suite in sharded **worker mode** (DESIGN.md §15): every
-    /// sweep claims its points through the coordination handle's leases
-    /// and journals into this worker's private shard, and trained
-    /// checkpoints build under `cache.*` leases so only one worker in the
-    /// fleet trains a given baseline. Implies resume semantics — workers
-    /// never clear shared state.
-    pub fn with_worker(mut self, worker: WorkerCoordination) -> Self {
-        self.worker = Some(worker);
-        self.resume = true;
-        self
     }
 
     /// Selects the error model every AMS configuration in this suite
@@ -132,7 +115,7 @@ impl Experiments {
 
     /// Applies CorrectNet-style per-layer affine compensation to every
     /// eval-only AMS evaluation in this suite (`--compensate` on the
-    /// binaries; see DESIGN.md §16). figD always reports both series
+    /// binaries; see DESIGN.md §15). figD always reports both series
     /// regardless. Non-default scenario: artifacts gain a `-comp` suffix.
     pub fn with_compensate(mut self, compensate: bool) -> Self {
         self.compensate = compensate;
@@ -311,23 +294,13 @@ impl Experiments {
     /// prevent.
     fn sweep(&self, name: &str) -> Sweep {
         let path = self.path(&format!("{name}_journal"), "jsonl");
-        match &self.worker {
-            Some(w) => Sweep::new_worker(
-                name,
-                &path,
-                RetryPolicy::default(),
-                self.ctx.metrics().clone(),
-                w.leases.clone(),
-                w.worker_id,
-            ),
-            None => Sweep::new(
-                name,
-                &path,
-                self.resume,
-                RetryPolicy::default(),
-                self.ctx.metrics().clone(),
-            ),
-        }
+        Sweep::new(
+            name,
+            &path,
+            self.resume,
+            RetryPolicy::default(),
+            self.ctx.metrics().clone(),
+        )
         .unwrap_or_else(|e| panic!("sweep {name}: {e}"))
     }
 
@@ -377,75 +350,13 @@ impl Experiments {
     /// Runs `build` unless both checkpoint and metadata for `key` are
     /// cached on disk ([`Experiments::load_cached`] /
     /// [`Experiments::build_and_store`]).
-    ///
-    /// In worker mode the build is gated behind a `cache.{key}` lease so
-    /// only one worker in the fleet trains a given baseline: losers poll
-    /// the lease and load the winner's artifacts when it marks done. If
-    /// the winner crashes mid-train its lease expires and another worker
-    /// takes over; if a done lease's artifacts never materialize the
-    /// waiter gives up after a bounded number of polls and builds locally
-    /// (training is deterministic per key, so a duplicate build writes
-    /// identical artifacts).
     fn cached(
         &self,
         key: &str,
         build: impl FnOnce(&Path) -> (Checkpoint, TrainedMeta),
     ) -> (Checkpoint, Stat) {
-        if let Some(hit) = self.load_cached(key) {
-            return hit;
-        }
-        let Some(coord) = &self.worker else {
-            return self.build_and_store(key, build);
-        };
-        let lease_key = format!("cache.{key}");
-        // `build` is FnOnce but the claim loop has several exit points;
-        // park it in an Option and take it exactly once.
-        let mut build = Some(build);
-        let mut done_polls = 0u32;
-        loop {
-            match coord.leases.try_claim(&lease_key) {
-                Ok(Claim::Acquired { .. }) => {
-                    // A rival may have finished between our cache miss and
-                    // winning the (possibly stolen) lease.
-                    if let Some(hit) = self.load_cached(key) {
-                        let _ = coord.leases.mark_done(&lease_key);
-                        return hit;
-                    }
-                    let beat = coord.leases.heartbeat(&lease_key);
-                    let out = self.build_and_store(key, build.take().expect("build taken once"));
-                    drop(beat);
-                    let _ = coord.leases.mark_done(&lease_key);
-                    return out;
-                }
-                Ok(Claim::Done { owner }) => {
-                    if let Some(hit) = self.load_cached(key) {
-                        return hit;
-                    }
-                    done_polls += 1;
-                    if done_polls > 40 {
-                        eprintln!(
-                            "[cache {key}] lease marked done by {owner} but no artifacts \
-                             appeared; building locally"
-                        );
-                        return self.build_and_store(key, build.take().expect("build taken once"));
-                    }
-                    std::thread::sleep(coord.poll);
-                }
-                // A live rival is building; its heartbeat keeps the lease
-                // fresh, and its crash expires it — either way we make
-                // progress, so waiting here is unbounded by design.
-                Ok(Claim::Held) => {
-                    if let Some(hit) = self.load_cached(key) {
-                        return hit;
-                    }
-                    std::thread::sleep(coord.poll);
-                }
-                Err(e) => {
-                    eprintln!("[cache {key}] lease claim failed ({e}); building locally");
-                    return self.build_and_store(key, build.take().expect("build taken once"));
-                }
-            }
-        }
+        self.load_cached(key)
+            .unwrap_or_else(|| self.build_and_store(key, build))
     }
 
     /// The FP32 baseline: trained from scratch, reported over
@@ -1100,14 +1011,13 @@ impl Experiments {
 
     /// Fig. D: top-1 accuracy vs simulated inference time per error
     /// model, with the Eq. 2 lumped model as the `t = 0` anchor and a
-    /// CorrectNet-style compensated series per model (DESIGN.md §16).
+    /// CorrectNet-style compensated series per model (DESIGN.md §15).
     ///
     /// The grid pairs the suite's base error model against the drifting
     /// PCM model across the drift-time grid
     /// ([`Experiments::with_at_times`] or the scale preset's), each with
     /// and without compensation. Every point is journaled through the
-    /// sweep engine, so `--workers N` sharding and `--resume` work
-    /// unchanged.
+    /// sweep engine, so `--threads N` and `--resume` work unchanged.
     pub fn figd(&self) -> FigDResult {
         let _t = self.ctx.metrics().scope(|| "experiment.figd".to_string());
         let quant = self.schemed(QuantConfig::w8a8());

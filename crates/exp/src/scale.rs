@@ -48,7 +48,7 @@ pub struct Scale {
     /// `N_mult` axis of the Fig. 8 grid.
     pub fig8_n_mults: Vec<usize>,
     /// Inference times (seconds after programming) of the figD drift
-    /// sweep, overridable per run with `--at-times` (see DESIGN.md §16).
+    /// sweep, overridable per run with `--at-times` (see DESIGN.md §15).
     pub drift_times: Vec<f64>,
     /// Master seed for training shuffles and evaluation subsampling.
     pub seed: u64,

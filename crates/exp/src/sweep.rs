@@ -23,18 +23,11 @@
 //! `sweep.points.quarantined`, the `sweep.point_ms` histogram), so the
 //! `--metrics` report shows exactly how much work a resume avoided.
 //!
-//! # Sharded execution
-//!
-//! Under `--workers N` the same engine runs in **worker mode**
-//! ([`Sweep::new_worker`], DESIGN.md §15): M processes share one grid by
-//! claiming points through expiring, heartbeat-renewed
-//! [`ams_obs::lease`] files, and each worker appends its completed points
-//! to a private CRC'd shard journal ([`shard_path`]) beside the canonical
-//! one. Because every point owns its RNG stream, *placement cannot change
-//! results* — a stolen or duplicated point recomputes bit-identically, so
-//! the coordinator's shard merge (`crate::shard`) only has to dedupe, and
-//! the merged canonical journal replays to the same CSV a single-worker
-//! run would have written.
+//! Points may run concurrently: sweeps hand their grid to
+//! `ExecCtx::parallel_map` (`--threads N`), and the journal sits behind
+//! a mutex. Every point owns its RNG stream, so completion order cannot
+//! change results — a resumed or parallel run writes the same CSV as a
+//! serial one.
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -44,7 +37,6 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ams_obs::fsio::atomic_write;
-use ams_obs::lease::{Claim, LeaseManager};
 use ams_tensor::MetricsSink;
 use serde::{Deserialize, Serialize, Value};
 
@@ -297,19 +289,8 @@ impl Journal {
         Ok(())
     }
 
-    /// Atomically writes `records` as a complete journal file at `path` —
-    /// the primitive behind both [`Journal::append`] and the coordinator's
-    /// shard merge (`crate::shard::merge_shards`), so merged journals use
-    /// the exact same line encoding/CRC as worker-written ones.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] if the write fails.
-    pub fn write_records(
-        path: impl AsRef<Path>,
-        records: &[PointRecord],
-    ) -> Result<(), JournalError> {
-        let path = path.as_ref();
+    /// Atomically writes `records` as a complete journal file at `path`.
+    fn write_records(path: &Path, records: &[PointRecord]) -> Result<(), JournalError> {
         let mut out = String::new();
         for r in records {
             out.push_str(&encode_line(r));
@@ -326,66 +307,7 @@ impl Journal {
 }
 
 // ---------------------------------------------------------------------
-// Shard naming
-// ---------------------------------------------------------------------
-
-/// The per-worker shard journal for `canonical`: `{stem}.w{id}.jsonl`
-/// beside it (e.g. `fig4_journal_test.jsonl` → `fig4_journal_test.w2.jsonl`).
-pub fn shard_path(canonical: &Path, worker_id: u32) -> PathBuf {
-    canonical.with_extension(format!("w{worker_id}.jsonl"))
-}
-
-/// Whether file name `name` is a worker shard of a canonical journal whose
-/// file stem is `stem` (i.e. `{stem}.w<digits>.jsonl`).
-pub(crate) fn is_shard_of(name: &str, stem: &str) -> bool {
-    let Some(rest) = name.strip_prefix(stem) else {
-        return false;
-    };
-    let Some(rest) = rest.strip_prefix(".w") else {
-        return false;
-    };
-    let Some(digits) = rest.strip_suffix(".jsonl") else {
-        return false;
-    };
-    !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit())
-}
-
-/// Scans the canonical journal and every sibling worker shard for the most
-/// useful record of `point` (a `Done` record wins over `Failed`). Shards
-/// that fail to open (e.g. freshly deleted by a merge) are skipped — the
-/// caller treats "not found" as "keep polling / recompute".
-fn find_in_shards(canonical: &Path, point: &str) -> Option<PointRecord> {
-    let mut paths = vec![canonical.to_path_buf()];
-    if let (Some(dir), Some(stem)) = (
-        canonical.parent(),
-        canonical.file_stem().and_then(|s| s.to_str()),
-    ) {
-        if let Ok(rd) = std::fs::read_dir(dir) {
-            for e in rd.flatten() {
-                let name = e.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if is_shard_of(name, stem) {
-                    paths.push(e.path());
-                }
-            }
-        }
-    }
-    let mut best: Option<PointRecord> = None;
-    for p in paths {
-        if let Ok(j) = Journal::open(&p) {
-            if let Some(rec) = j.find(point) {
-                if rec.status == PointStatus::Done {
-                    return Some(rec.clone());
-                }
-                best.get_or_insert_with(|| rec.clone());
-            }
-        }
-    }
-    best
-}
-
-// ---------------------------------------------------------------------
-// Deterministic crash injection (CI kill-and-resume job)
+// Deterministic crash injection (kill-and-resume tests)
 // ---------------------------------------------------------------------
 
 static JOURNAL_APPENDS: AtomicU64 = AtomicU64::new(0);
@@ -393,8 +315,9 @@ static JOURNAL_APPENDS: AtomicU64 = AtomicU64::new(0);
 /// Test hook: when `AMS_TEST_CRASH_AFTER_POINTS=n` is set, the process
 /// SIGKILLs itself immediately after the `n`-th journal append lands on
 /// disk — a deterministic stand-in for a mid-sweep power cut, used by the
-/// CI kill-and-resume job. SIGKILL (not panic) so no destructor, flush,
-/// or unwind cleanup softens the crash.
+/// kill-and-resume tests (`tests/resume.rs`, CI's `kill-resume-e2e`).
+/// SIGKILL (not panic) so no destructor, flush, or unwind cleanup
+/// softens the crash.
 fn crash_hook_after_append() {
     let Some(n) = std::env::var("AMS_TEST_CRASH_AFTER_POINTS")
         .ok()
@@ -461,27 +384,7 @@ pub struct Sweep {
     journal: Mutex<Journal>,
     policy: RetryPolicy,
     metrics: MetricsSink,
-    worker: Option<WorkerMode>,
 }
-
-/// Per-worker coordination state for sharded execution.
-#[derive(Debug)]
-struct WorkerMode {
-    /// Shared lease directory for point claiming.
-    leases: LeaseManager,
-    /// Canonical journal path; used to locate sibling shards for replay.
-    canonical: PathBuf,
-    /// Records recovered from the canonical journal at startup (a prior
-    /// merged run), replayed read-only.
-    fallback: Vec<PointRecord>,
-    /// Sleep between lease polls while another worker holds a point.
-    poll: Duration,
-}
-
-/// Polls a worker waits on a `Done` lease whose owner's shard record has
-/// not yet appeared before giving up and recomputing the point locally
-/// (the duplicate is bit-identical and deduped at merge).
-const DONE_POLL_BUDGET: u32 = 40;
 
 /// What replaying a journaled record resolved to.
 enum ReplayOutcome<R> {
@@ -535,62 +438,6 @@ impl Sweep {
             journal: Mutex::new(journal),
             policy,
             metrics,
-            worker: None,
-        })
-    }
-
-    /// Opens the sweep in **worker mode** (DESIGN.md §15): this process is
-    /// one of M workers sharing the grid, identified by `worker_id`.
-    ///
-    /// The worker's own journal is the shard
-    /// [`shard_path`]`(canonical_path, worker_id)` — opened resuming
-    /// (never cleared; the coordinator precleans fresh runs). Records in
-    /// the canonical journal at `canonical_path` (from a previous merged
-    /// run) are replayed read-only. Unjournaled points are claimed through
-    /// `leases` before computing; see [`Sweep::run_point`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`JournalError`] from opening either journal, including
-    /// [`JournalError::Corrupt`] for a damaged shard or canonical file.
-    pub fn new_worker(
-        name: impl Into<String>,
-        canonical_path: impl AsRef<Path>,
-        policy: RetryPolicy,
-        metrics: MetricsSink,
-        leases: LeaseManager,
-        worker_id: u32,
-    ) -> Result<Self, JournalError> {
-        assert!(
-            policy.max_attempts >= 1,
-            "RetryPolicy: max_attempts must be ≥ 1"
-        );
-        let name = name.into();
-        let canonical = canonical_path.as_ref().to_path_buf();
-        let shard = Journal::open(shard_path(&canonical, worker_id))?;
-        if !shard.records().is_empty() {
-            metrics.inc("sweep.resumed");
-            eprintln!(
-                "[sweep {name}] worker {worker_id} resuming: {} shard point(s) at {}",
-                shard.records().len(),
-                shard.path().display()
-            );
-        }
-        let fallback = Journal::open(&canonical)?.records.clone();
-        // Poll fast relative to the TTL so an expired lease is noticed
-        // well before a second TTL elapses, but never busy-spin.
-        let poll = Duration::from_millis((leases.ttl().as_millis() as u64 / 10).clamp(25, 500));
-        Ok(Sweep {
-            name,
-            journal: Mutex::new(shard),
-            policy,
-            metrics,
-            worker: Some(WorkerMode {
-                leases,
-                canonical,
-                fallback,
-                poll,
-            }),
         })
     }
 
@@ -609,14 +456,6 @@ impl Sweep {
     ///   exhaustion journals a `failed` record (`sweep.points.quarantined`)
     ///   and returns `None` so the remaining points still complete.
     ///
-    /// In worker mode the journal checks extend to the canonical journal
-    /// and sibling worker shards, and an unjournaled point is first
-    /// *claimed* through the shared lease directory: `Acquired` computes
-    /// it under a heartbeat (`sweep.points.claimed`, plus
-    /// `sweep.points.lease_stolen`/`lease_expired` when an expired rival
-    /// lease was reclaimed); `Held` polls until the owner finishes or its
-    /// lease expires; `Done` replays the owner's shard record.
-    ///
     /// `f` must be idempotent (it may run more than once) and is expected
     /// to tolerate unwinding — the workspace's experiment closures only
     /// hold `&self`/`&ExecCtx`, which a dropped attempt cannot poison.
@@ -626,9 +465,6 @@ impl Sweep {
         F: Fn() -> R,
     {
         let point = point.into();
-        if self.worker.is_some() {
-            return self.run_point_worker(point, f);
-        }
         let prior = self
             .journal
             .lock()
@@ -670,83 +506,6 @@ impl Sweep {
                     rec.error.as_deref().unwrap_or("no error recorded"),
                 );
                 ReplayOutcome::Settled(None)
-            }
-        }
-    }
-
-    /// Worker-mode point execution: replay from own shard / canonical /
-    /// sibling shards, else claim the point's lease and compute.
-    fn run_point_worker<R, F>(&self, point: String, f: F) -> Option<R>
-    where
-        R: Serialize + Deserialize,
-        F: Fn() -> R,
-    {
-        let w = self.worker.as_ref().expect("worker mode");
-        let key = format!("{}.{}", self.name, point);
-        let prior = self
-            .journal
-            .lock()
-            .expect("journal lock")
-            .find(&point)
-            .cloned()
-            .or_else(|| w.fallback.iter().rev().find(|r| r.point == point).cloned());
-        if let Some(rec) = prior {
-            if let ReplayOutcome::Settled(r) = self.replay(&point, &rec) {
-                // Our result is already durable; let waiting peers move on.
-                let _ = w.leases.mark_done(&key);
-                return r;
-            }
-        }
-        let mut done_polls = 0u32;
-        loop {
-            match w.leases.try_claim(&key) {
-                Ok(Claim::Acquired { stolen }) => {
-                    self.metrics.inc("sweep.points.claimed");
-                    if stolen {
-                        self.metrics.inc("sweep.points.lease_stolen");
-                        self.metrics.inc("sweep.points.lease_expired");
-                        eprintln!(
-                            "[sweep {}] point {point}: reclaimed an expired lease \
-                             (its owner crashed or stalled); recomputing",
-                            self.name
-                        );
-                    }
-                    let beat = w.leases.heartbeat(&key);
-                    let out = self.compute_and_record(point, f);
-                    drop(beat);
-                    // Only after the shard append above is the result
-                    // durable; now peers may replay instead of waiting.
-                    let _ = w.leases.mark_done(&key);
-                    return out;
-                }
-                Ok(Claim::Done { owner }) => {
-                    if let Some(rec) = find_in_shards(&w.canonical, &point) {
-                        if let ReplayOutcome::Settled(r) = self.replay(&point, &rec) {
-                            return r;
-                        }
-                        return self.compute_and_record(point, f);
-                    }
-                    done_polls += 1;
-                    if done_polls > DONE_POLL_BUDGET {
-                        eprintln!(
-                            "[sweep {}] point {point}: lease marked done by {owner} \
-                             but no shard record appeared; recomputing locally \
-                             (merge will dedupe)",
-                            self.name
-                        );
-                        return self.compute_and_record(point, f);
-                    }
-                    std::thread::sleep(w.poll);
-                }
-                Ok(Claim::Held) => std::thread::sleep(w.poll),
-                Err(e) => {
-                    eprintln!(
-                        "[sweep {}] point {point}: lease claim failed ({e}); \
-                         computing without coordination (merge will dedupe)",
-                        self.name
-                    );
-                    return self.compute_and_record(point, f);
-                }
             }
         }
     }
@@ -1049,168 +808,6 @@ mod tests {
             PointStatus::Failed
         );
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn worker_journals_into_shard_and_marks_lease_done() {
-        let dir = tmpdir("worker");
-        let canonical = dir.join("s_journal_test.jsonl");
-        let leases =
-            LeaseManager::new(dir.join("leases"), "w0-test", Duration::from_secs(60)).unwrap();
-        let sweep = Sweep::new_worker(
-            "s",
-            &canonical,
-            RetryPolicy::default(),
-            MetricsSink::disabled(),
-            leases.clone(),
-            0,
-        )
-        .unwrap();
-        let got: Option<f64> = sweep.run_point("p0", || 2.5);
-        assert_eq!(got, Some(2.5));
-        assert!(
-            !canonical.exists(),
-            "workers never write the canonical journal"
-        );
-        let shard = Journal::open(shard_path(&canonical, 0)).unwrap();
-        assert_eq!(shard.find("p0").unwrap().status, PointStatus::Done);
-        assert!(
-            leases.read("s.p0").unwrap().done,
-            "completed point's lease is marked done"
-        );
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn worker_replays_a_sibling_shard_instead_of_recomputing() {
-        let dir = tmpdir("worker_replay");
-        let canonical = dir.join("s_journal_test.jsonl");
-        let leases_a =
-            LeaseManager::new(dir.join("leases"), "w0-test", Duration::from_secs(60)).unwrap();
-        let leases_b =
-            LeaseManager::new(dir.join("leases"), "w1-test", Duration::from_secs(60)).unwrap();
-        // Worker 0 computes the point (journals + marks done)...
-        {
-            let sweep = Sweep::new_worker(
-                "s",
-                &canonical,
-                RetryPolicy::default(),
-                MetricsSink::disabled(),
-                leases_a,
-                0,
-            )
-            .unwrap();
-            let _: Option<f64> = sweep.run_point("p0", || 0.75);
-        }
-        // ...then worker 1 arrives: Done lease, record found in w0's shard.
-        let sweep = Sweep::new_worker(
-            "s",
-            &canonical,
-            RetryPolicy::default(),
-            MetricsSink::disabled(),
-            leases_b,
-            1,
-        )
-        .unwrap();
-        let calls = AtomicU32::new(0);
-        let got: Option<f64> = sweep.run_point("p0", || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            99.0
-        });
-        assert_eq!(got, Some(0.75), "replayed from the sibling shard");
-        assert_eq!(calls.load(Ordering::SeqCst), 0, "no recompute");
-        assert!(
-            !shard_path(&canonical, 1).exists(),
-            "replaying writes nothing to our own shard"
-        );
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn worker_resumes_its_own_shard_without_recompute() {
-        let dir = tmpdir("worker_resume");
-        let canonical = dir.join("s_journal_test.jsonl");
-        let mk_leases =
-            || LeaseManager::new(dir.join("leases"), "w0-test", Duration::from_secs(60)).unwrap();
-        {
-            let sweep = Sweep::new_worker(
-                "s",
-                &canonical,
-                RetryPolicy::default(),
-                MetricsSink::disabled(),
-                mk_leases(),
-                0,
-            )
-            .unwrap();
-            let _: Option<u64> = sweep.run_point("p0", || 11);
-        }
-        // Same worker id restarts (e.g. after a crash later in the grid).
-        let sweep = Sweep::new_worker(
-            "s",
-            &canonical,
-            RetryPolicy::default(),
-            MetricsSink::disabled(),
-            mk_leases(),
-            0,
-        )
-        .unwrap();
-        let calls = AtomicU32::new(0);
-        let got: Option<u64> = sweep.run_point("p0", || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            22
-        });
-        assert_eq!(got, Some(11), "own shard replays");
-        assert_eq!(calls.load(Ordering::SeqCst), 0);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn worker_steals_an_expired_lease_and_recomputes() {
-        let dir = tmpdir("worker_steal");
-        let canonical = dir.join("s_journal_test.jsonl");
-        // A "crashed" worker claimed the point but never completed it: its
-        // lease has a different owner and is instantly expired (ttl 0).
-        let dead = LeaseManager::new(dir.join("leases"), "w0-dead", Duration::ZERO).unwrap();
-        assert!(matches!(
-            dead.try_claim("s.p0").unwrap(),
-            Claim::Acquired { .. }
-        ));
-        let live =
-            LeaseManager::new(dir.join("leases"), "w1-live", Duration::from_secs(60)).unwrap();
-        let sink = MetricsSink::recording();
-        let sweep = Sweep::new_worker(
-            "s",
-            &canonical,
-            RetryPolicy::default(),
-            sink.clone(),
-            live,
-            1,
-        )
-        .unwrap();
-        let got: Option<f64> = sweep.run_point("p0", || 1.25);
-        assert_eq!(got, Some(1.25));
-        let report = sink.registry().unwrap().report();
-        let count = |name: &str| report.counter(name).map_or(0, |c| c.value);
-        assert_eq!(count("sweep.points.claimed"), 1);
-        assert_eq!(count("sweep.points.lease_stolen"), 1);
-        assert_eq!(count("sweep.points.lease_expired"), 1);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn shard_path_and_matcher_agree() {
-        let canonical = Path::new("/r/fig4_journal_test.jsonl");
-        let shard = shard_path(canonical, 3);
-        assert_eq!(shard, PathBuf::from("/r/fig4_journal_test.w3.jsonl"));
-        assert!(is_shard_of(
-            shard.file_name().unwrap().to_str().unwrap(),
-            "fig4_journal_test"
-        ));
-        assert!(!is_shard_of("fig4_journal_test.jsonl", "fig4_journal_test"));
-        assert!(!is_shard_of(
-            "fig4_journal_test.wx.jsonl",
-            "fig4_journal_test"
-        ));
     }
 
     #[test]

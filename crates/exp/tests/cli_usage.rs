@@ -12,18 +12,21 @@ fn run_table1(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn unknown_flag_exits_2_with_usage() {
-    let out = run_table1(&["--bogus"]);
-    assert_eq!(out.status.code(), Some(ams_exp::USAGE_EXIT_CODE));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("error: unknown argument \"--bogus\""),
-        "stderr was: {stderr}"
-    );
-    assert!(stderr.contains("usage: "), "stderr was: {stderr}");
-    assert!(
-        stderr.contains("--scale quick|full|test"),
-        "stderr was: {stderr}"
-    );
+    // `--workers` is a retired flag: it must fail like any unknown one.
+    for args in [&["--bogus"][..], &["--workers", "2"]] {
+        let out = run_table1(args);
+        assert_eq!(out.status.code(), Some(ams_exp::USAGE_EXIT_CODE));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: unknown argument {:?}", args[0])),
+            "stderr was: {stderr}"
+        );
+        assert!(stderr.contains("usage: "), "stderr was: {stderr}");
+        assert!(
+            stderr.contains("--scale quick|full|test"),
+            "stderr was: {stderr}"
+        );
+    }
 }
 
 #[test]

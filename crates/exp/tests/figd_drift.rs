@@ -1,7 +1,7 @@
-//! End-to-end drift tests for the figD pipeline (DESIGN.md §16): journal
-//! resume must be bit-identical, `--workers 2` sharding must produce the
-//! same CSV as a single process (including under `--resume`), and the
-//! fitted compensation must round-trip through its state file so a
+//! End-to-end drift tests for the figD pipeline (DESIGN.md §15): journal
+//! resume must be bit-identical, `--threads 2` must produce the same CSV
+//! as `--threads 1` (including under `--resume`), and the fitted
+//! compensation must round-trip through its state file so a
 //! resumed run reproduces the same corrected results without refitting.
 
 use std::path::{Path, PathBuf};
@@ -69,36 +69,35 @@ fn run_figd(results: &Path, extra: &[&str]) {
     );
 }
 
-/// `--workers 2` shards the figD sweep across processes; the merged CSV
-/// must be byte-identical to a single-process run, and a second
-/// `--workers 2 --resume` pass must replay every point to the same bytes.
+/// `--threads 2` runs figD points concurrently; the CSV must be
+/// byte-identical to a `--threads 1` run, and a second
+/// `--threads 2 --resume` pass must replay every point to the same bytes.
 #[test]
-fn figd_under_workers_two_matches_single_process_and_resumes() {
-    let dir_single = temp_dir("single");
-    run_figd(&dir_single, &[]);
-    let golden =
-        std::fs::read_to_string(dir_single.join("figd_test.csv")).expect("single-process CSV");
+fn figd_under_threads_two_matches_one_thread_and_resumes() {
+    let dir_serial = temp_dir("serial");
+    run_figd(&dir_serial, &["--threads", "1"]);
+    let golden = std::fs::read_to_string(dir_serial.join("figd_test.csv")).expect("one-thread CSV");
 
-    let dir_workers = temp_dir("workers");
-    run_figd(&dir_workers, &["--workers", "2"]);
-    let csv_path = dir_workers.join("figd_test.csv");
-    let sharded = std::fs::read_to_string(&csv_path).expect("sharded CSV");
+    let dir_parallel = temp_dir("parallel");
+    run_figd(&dir_parallel, &["--threads", "2"]);
+    let csv_path = dir_parallel.join("figd_test.csv");
+    let parallel = std::fs::read_to_string(&csv_path).expect("two-thread CSV");
     assert_eq!(
-        sharded, golden,
-        "a --workers 2 run must write the same CSV as a single process"
+        parallel, golden,
+        "a --threads 2 run must write the same CSV as --threads 1"
     );
 
-    // Resume: every point replays from the merged canonical journal.
+    // Resume: every point replays from the journal.
     std::fs::remove_file(&csv_path).expect("drop CSV before resume");
-    run_figd(&dir_workers, &["--workers", "2", "--resume"]);
+    run_figd(&dir_parallel, &["--threads", "2", "--resume"]);
     let resumed = std::fs::read_to_string(&csv_path).expect("resumed CSV");
     assert_eq!(
         resumed, golden,
-        "a resumed --workers 2 run must replay to a byte-identical CSV"
+        "a resumed --threads 2 run must replay to a byte-identical CSV"
     );
 
-    let _ = std::fs::remove_dir_all(dir_single);
-    let _ = std::fs::remove_dir_all(dir_workers);
+    let _ = std::fs::remove_dir_all(dir_serial);
+    let _ = std::fs::remove_dir_all(dir_parallel);
 }
 
 /// The compensation fit round-trips: a compensated run persists its fit,

@@ -3,7 +3,8 @@
 //! points must be replayed (not recomputed), and a poisoned point must
 //! stay quarantined across resumes while the rest of the sweep reports.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use ams_exp::sweep::{RetryPolicy, Sweep};
 use ams_exp::{Experiments, Scale};
@@ -65,6 +66,54 @@ fn truncated_fig4_journal_resumes_to_identical_rows() {
 
     let _ = std::fs::remove_dir_all(dir_a);
     let _ = std::fs::remove_dir_all(dir_b);
+}
+
+/// The crash contract at the process level: a `fig4` SIGKILLed right
+/// after its first journal append — with points in flight on two threads
+/// — leaves a journal but no CSV, and `--resume` finishes the sweep to
+/// the committed golden byte for byte.
+#[test]
+fn killed_fig4_process_resumes_to_the_golden_csv() {
+    let dir = temp_dir("fig4_sigkill");
+    let fig4 = |extra: &[&str], crash: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig4"));
+        cmd.args(["--scale", "test", "--threads", "2", "--results"])
+            .arg(&dir)
+            .args(extra)
+            .env_remove("AMS_TEST_CRASH_AFTER_POINTS");
+        if crash {
+            cmd.env("AMS_TEST_CRASH_AFTER_POINTS", "1");
+        }
+        cmd.output().expect("spawn fig4")
+    };
+
+    let killed = fig4(&[], true);
+    assert!(
+        !killed.status.success(),
+        "the crash hook must kill the run:\n{}",
+        String::from_utf8_lossy(&killed.stderr)
+    );
+    let csv_path = dir.join("fig4_test.csv");
+    assert!(!csv_path.exists(), "a killed run must not write its CSV");
+    assert!(
+        dir.join("fig4_journal_test.jsonl").exists(),
+        "a killed run must leave its journal"
+    );
+
+    let resumed = fig4(&["--resume"], false);
+    assert!(
+        resumed.status.success(),
+        "fig4 --resume failed:\n{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fig4_test.csv");
+    assert_eq!(
+        std::fs::read_to_string(&csv_path).expect("resumed CSV"),
+        std::fs::read_to_string(golden).expect("committed golden"),
+        "the resumed CSV must equal the committed golden"
+    );
+
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// Without `--resume`, a leftover journal is cleared and every point

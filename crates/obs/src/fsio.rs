@@ -19,11 +19,12 @@ use std::path::Path;
 ///
 /// The temporary file is `<file_name>.tmp.<pid>` in the same directory
 /// (rename is only atomic within a filesystem). The pid suffix keeps
-/// concurrent *processes* writing the same destination — sharded sweep
-/// workers refreshing a shared checkpoint, for example — from interleaving
-/// into one tmp file and renaming torn content into place; the rename race
-/// itself is harmless because each candidate file is complete. A stale
-/// tmp left by an earlier crash of the same pid is silently overwritten.
+/// concurrent *processes* writing the same destination — two experiment
+/// binaries sharing one results directory and caching the same
+/// checkpoint, for example — from interleaving into one tmp file and
+/// renaming torn content into place; the rename race itself is harmless
+/// because each candidate file is complete. A stale tmp left by an
+/// earlier crash of the same pid is silently overwritten.
 ///
 /// # Errors
 ///

@@ -38,13 +38,11 @@
 #![warn(missing_docs)]
 
 pub mod fsio;
-pub mod lease;
 mod metric;
 mod registry;
 mod report;
 mod welford;
 
-pub use lease::{Claim, Heartbeat, LeaseManager, LeaseState};
 pub use metric::{Counter, Gauge, Histogram, Timer};
 pub use registry::{MetricsSink, Registry, ScopedTimer};
 pub use report::{

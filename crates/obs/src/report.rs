@@ -3,8 +3,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::welford::WelfordState;
-
 /// One counter's final value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CounterEntry {
@@ -165,83 +163,6 @@ impl MetricsReport {
         out
     }
 
-    /// Folds another report into this one, metric by metric, so a
-    /// coordinator can roll up the per-worker reports of a sharded sweep
-    /// into one canonical snapshot (DESIGN.md §15).
-    ///
-    /// * Counters with the same name sum.
-    /// * Timers sum `count` and `total_nanos`; the mean is recomputed.
-    /// * Gauges are exact: each entry is lifted back into a
-    ///   [`WelfordState`] (`m2 = variance · (n−1)`) and merged with the
-    ///   Chan et al. update, so the rolled-up mean/variance/min/max equal
-    ///   what one process observing every sample would have produced.
-    /// * Histograms with identical bucket bounds add counts elementwise
-    ///   and sum `sum`; a bounds mismatch keeps `self`'s entry and warns
-    ///   on stderr rather than silently mixing incompatible layouts.
-    ///
-    /// Entries present on only one side are kept as-is. The merged report
-    /// stays sorted by name within each kind.
-    pub fn merge(&mut self, other: &MetricsReport) {
-        for c in &other.counters {
-            match self.counters.iter_mut().find(|e| e.name == c.name) {
-                Some(e) => e.value += c.value,
-                None => self.counters.push(c.clone()),
-            }
-        }
-        for t in &other.timers {
-            match self.timers.iter_mut().find(|e| e.name == t.name) {
-                Some(e) => {
-                    e.count += t.count;
-                    e.total_nanos += t.total_nanos;
-                    e.mean_nanos = if e.count == 0 {
-                        0.0
-                    } else {
-                        e.total_nanos as f64 / e.count as f64
-                    };
-                }
-                None => self.timers.push(t.clone()),
-            }
-        }
-        for g in &other.gauges {
-            match self.gauges.iter_mut().find(|e| e.name == g.name) {
-                Some(e) => {
-                    let mut merged = welford_of(e);
-                    merged.merge(&welford_of(g));
-                    e.count = merged.count;
-                    e.mean = merged.mean;
-                    e.variance = merged.sample_variance();
-                    e.std = merged.sample_std();
-                    e.min = merged.min;
-                    e.max = merged.max;
-                }
-                None => self.gauges.push(g.clone()),
-            }
-        }
-        for h in &other.histograms {
-            match self.histograms.iter_mut().find(|e| e.name == h.name) {
-                Some(e) => {
-                    if e.bounds == h.bounds && e.counts.len() == h.counts.len() {
-                        for (a, b) in e.counts.iter_mut().zip(&h.counts) {
-                            *a += b;
-                        }
-                        e.sum += h.sum;
-                    } else {
-                        eprintln!(
-                            "[metrics] histogram {:?}: bucket layouts differ across reports; \
-                             keeping the first and dropping the other side's counts",
-                            e.name
-                        );
-                    }
-                }
-                None => self.histograms.push(h.clone()),
-            }
-        }
-        self.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        self.timers.sort_by(|a, b| a.name.cmp(&b.name));
-        self.gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
-    }
-
     /// Flattens the report into one row per metric (histogram buckets get
     /// one row each, named `name[le=bound]` / `name[overflow]`), with
     /// columns [`CSV_HEADERS`]. Cells that do not apply to a kind are
@@ -306,23 +227,6 @@ impl MetricsReport {
     }
 }
 
-/// Lifts a serialized gauge entry back into the Welford state that
-/// produced it. Exact for `count`, `mean`, `min`, `max`; `m2` is
-/// reconstructed from the sample variance.
-fn welford_of(g: &GaugeEntry) -> WelfordState {
-    WelfordState {
-        count: g.count,
-        mean: g.mean,
-        m2: if g.count > 1 {
-            g.variance * (g.count - 1) as f64
-        } else {
-            0.0
-        },
-        min: g.min,
-        max: g.max,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,88 +266,6 @@ mod tests {
         assert!(text.contains("sizes_bucket{le=\"+Inf\"} 1\n"));
         assert!(text.contains("sizes_sum 5\n"));
         assert!(text.contains("sizes_count 1\n"));
-    }
-
-    #[test]
-    fn merge_matches_single_writer_rollup() {
-        // Two workers each record half the samples; merging their reports
-        // must equal one sink that saw everything.
-        let samples_a = [0.5, -0.25, 3.0];
-        let samples_b = [1.5, 2.0];
-        let worker = |samples: &[f64]| {
-            let sink = MetricsSink::recording();
-            for &x in samples {
-                sink.inc("sweep.points.completed");
-                sink.observe("noise.stem", x);
-                sink.observe_histogram("sweep.point_ms", &[1.0, 10.0], x.abs());
-                sink.record_duration(
-                    "layer.fc.forward",
-                    std::time::Duration::from_nanos((x.abs() * 100.0) as u64),
-                );
-            }
-            sink.registry().unwrap().report()
-        };
-        let mut merged = worker(&samples_a);
-        merged.merge(&worker(&samples_b));
-
-        let all: Vec<f64> = samples_a.iter().chain(&samples_b).copied().collect();
-        let sink = MetricsSink::recording();
-        for &x in &all {
-            sink.inc("sweep.points.completed");
-            sink.observe("noise.stem", x);
-            sink.observe_histogram("sweep.point_ms", &[1.0, 10.0], x.abs());
-            sink.record_duration(
-                "layer.fc.forward",
-                std::time::Duration::from_nanos((x.abs() * 100.0) as u64),
-            );
-        }
-        let single = sink.registry().unwrap().report();
-
-        assert_eq!(merged.counter("sweep.points.completed").unwrap().value, 5);
-        assert_eq!(
-            merged.histogram("sweep.point_ms").unwrap(),
-            single.histogram("sweep.point_ms").unwrap()
-        );
-        assert_eq!(
-            merged.timer("layer.fc.forward").unwrap(),
-            single.timer("layer.fc.forward").unwrap()
-        );
-        let (m, s) = (
-            merged.gauge("noise.stem").unwrap(),
-            single.gauge("noise.stem").unwrap(),
-        );
-        assert_eq!(m.count, s.count);
-        assert!((m.mean - s.mean).abs() < 1e-12);
-        assert!((m.variance - s.variance).abs() < 1e-12);
-        assert_eq!(m.min, s.min);
-        assert_eq!(m.max, s.max);
-    }
-
-    #[test]
-    fn merge_keeps_disjoint_entries_and_sorts() {
-        let a_sink = MetricsSink::recording();
-        a_sink.inc("zz.late");
-        let mut a = a_sink.registry().unwrap().report();
-        let b_sink = MetricsSink::recording();
-        b_sink.inc("aa.early");
-        b_sink.observe("only.b", 7.0);
-        a.merge(&b_sink.registry().unwrap().report());
-        assert_eq!(a.counters[0].name, "aa.early");
-        assert_eq!(a.counters[1].name, "zz.late");
-        assert_eq!(a.gauge("only.b").unwrap().count, 1);
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_histogram_bounds() {
-        let a_sink = MetricsSink::recording();
-        a_sink.observe_histogram("h", &[1.0, 2.0], 1.5);
-        let mut a = a_sink.registry().unwrap().report();
-        let b_sink = MetricsSink::recording();
-        b_sink.observe_histogram("h", &[10.0], 1.5);
-        a.merge(&b_sink.registry().unwrap().report());
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.bounds, vec![1.0, 2.0]);
-        assert_eq!(h.counts.iter().sum::<u64>(), 1, "other side dropped");
     }
 
     #[test]

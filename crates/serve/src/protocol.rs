@@ -33,7 +33,7 @@
 //! `t` (seconds after programming, positive and finite) the drift-aware
 //! error models realize weights at; the reply echoes it. Plain classify
 //! (0x01) stays byte-identical to the pre-drift protocol and runs at the
-//! scenario's configured time (see DESIGN.md §16).
+//! scenario's configured time (see DESIGN.md §15).
 
 use std::io::{self, Read, Write};
 

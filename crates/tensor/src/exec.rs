@@ -25,11 +25,25 @@
 //! runs serially unless its estimated scalar work exceeds
 //! [`Parallelism::min_work`] — small tensors are cheaper to compute than
 //! to hand to threads.
+//!
+//! Fan-out does not nest past the configured width: each
+//! [`ExecCtx::parallel_map`] worker gets a share of `threads / workers`
+//! threads (at least one) for the dispatches it makes itself. A sweep
+//! running 2 points at once on `--threads 2` therefore computes each
+//! point's kernels serially instead of putting 4 busy threads on 2 cores.
 
 use crate::workspace::Workspace;
 use ams_obs::MetricsSink;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// The most threads a dispatch made on this thread may use; lowered on
+    /// each [`ExecCtx::parallel_map`] worker to its share of the map's
+    /// threads. Unlimited on every other thread.
+    static THREAD_BUDGET: Cell<usize> = const { Cell::new(usize::MAX) };
+}
 
 /// How much parallelism the stack may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,6 +290,13 @@ impl ExecCtx {
         self.par.threads > 1 && work >= self.par.min_work
     }
 
+    /// Threads a dispatch made on the calling thread may use: the
+    /// configured width, capped inside a [`ExecCtx::parallel_map`] worker
+    /// by its share of the map's threads.
+    fn dispatch_threads(&self) -> usize {
+        self.par.threads.min(THREAD_BUDGET.with(Cell::get))
+    }
+
     /// How many dispatches actually ran multi-threaded so far.
     pub fn parallel_dispatch_count(&self) -> usize {
         self.parallel_dispatches.load(Ordering::Relaxed)
@@ -309,7 +330,7 @@ impl ExecCtx {
             out.len()
         );
         let n_chunks = out.len() / chunk_len;
-        let workers = self.par.threads.min(n_chunks);
+        let workers = self.dispatch_threads().min(n_chunks);
         if workers <= 1 || !self.should_parallelize(n_chunks.saturating_mul(work_per_chunk)) {
             self.metrics.inc("exec.for_each_chunk.serial");
             let _t = self.metrics.scope(|| "exec.for_each_chunk".to_string());
@@ -372,7 +393,7 @@ impl ExecCtx {
             "for_each_span: chunk length must be positive"
         );
         let n_chunks = out.len().div_ceil(chunk_len);
-        let workers = self.par.threads.min(n_chunks);
+        let workers = self.dispatch_threads().min(n_chunks);
         if workers <= 1 || !self.should_parallelize(n_chunks.saturating_mul(work_per_chunk)) {
             self.metrics.inc("exec.for_each_span.serial");
             let _t = self.metrics.scope(|| "exec.for_each_span".to_string());
@@ -409,13 +430,18 @@ impl ExecCtx {
     /// at its item's index, so output order — and, provided `f` is
     /// deterministic per item, output *content* — is independent of
     /// thread count and scheduling.
+    ///
+    /// Dispatches `f` makes on a worker thread may use `threads / workers`
+    /// threads (at least one), so nested fan-out never exceeds the
+    /// configured width.
     pub fn parallel_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let workers = self.par.threads.min(items.len());
+        let threads = self.dispatch_threads();
+        let workers = threads.min(items.len());
         if workers <= 1 {
             self.metrics.inc("exec.parallel_map.serial");
             let _t = self.metrics.scope(|| "exec.parallel_map".to_string());
@@ -426,12 +452,17 @@ impl ExecCtx {
         let _t = self.metrics.scope(|| "exec.parallel_map".to_string());
         let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
+        // `workers <= threads`, so every worker keeps at least one thread.
+        let budget = threads / workers;
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    *slots[i].lock() = Some(f(item));
+                scope.spawn(|| {
+                    THREAD_BUDGET.with(|b| b.set(budget));
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        *slots[i].lock() = Some(f(item));
+                    }
                 });
             }
         });
@@ -515,6 +546,36 @@ mod tests {
             let got = ctx.parallel_map(&items, |x| x * x);
             assert_eq!(got, want, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn parallel_map_workers_share_the_thread_budget() {
+        let nested = |threads: usize| {
+            let ctx = ExecCtx::new(Parallelism {
+                threads,
+                min_work: 0,
+            });
+            let sums = ctx.parallel_map(&[1usize, 2], |&k| {
+                let mut out = vec![0usize; 64];
+                ctx.for_each_chunk(&mut out, 16, usize::MAX, |i, c| c.fill(i * k));
+                out.iter().sum::<usize>()
+            });
+            assert_eq!(sums, vec![96, 192], "threads = {threads}");
+            ctx.parallel_dispatch_count()
+        };
+        // 2 threads over 2 items: each worker's budget is 1, so only the
+        // map itself fans out.
+        assert_eq!(nested(2), 1);
+        // 8 threads over 2 items: each worker may still use 4 threads.
+        assert_eq!(nested(8), 3);
+        // Outside any map the full width is available again.
+        let ctx = ExecCtx::new(Parallelism {
+            threads: 2,
+            min_work: 0,
+        });
+        let mut out = vec![0.0f32; 64];
+        ctx.for_each_chunk(&mut out, 16, usize::MAX, |i, c| c.fill(i as f32));
+        assert_eq!(ctx.parallel_dispatch_count(), 1);
     }
 
     #[test]
