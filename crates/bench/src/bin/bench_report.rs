@@ -300,7 +300,8 @@ fn main() {
             &lower,
         ));
 
-        // -- full conv forward (im2col + tiled matmul + col-to-NCHW).
+        // -- full eval conv forward (weights packed once, each image
+        // lowered straight into the GEMM panel and its NCHW output).
         let wmat = random(&[shape.c_out, geom.rows()], 4);
         let fwd = time_reps(reps, || {
             let (y, _) = conv2d_forward(

@@ -11,7 +11,7 @@
 use ams_tensor::{
     code_im2row_i16_in, code_rows_i16_in, col2im_in, im2col_in, mat_to_nchw_in, matmul_a_bt_in,
     matmul_at_b_in, matmul_hinted_in, matmul_i8_panels_in, matmul_in, nchw_to_mat_in,
-    pack_rows_i16, ConvGeom, Density, ExecCtx, Tensor,
+    pack_rows_i16, ConvGeom, Density, ExecCtx, Im2colPanel, PackedLhs, Tensor, Workspace,
 };
 
 /// Cache produced by [`conv2d_forward`], consumed by [`conv2d_backward`].
@@ -27,7 +27,7 @@ pub struct ConvCache {
     pub weight_mat: Tensor,
 }
 
-/// Convolution forward pass via im2col.
+/// Convolution forward pass.
 ///
 /// `weight_mat` is `(C_out, C_in·K_h·K_w)`; `weight_density` is the
 /// caller's knowledge of its zero fraction (quantized layers measure it
@@ -36,9 +36,20 @@ pub struct ConvCache {
 /// channel. Returns the `(N, C_out, OH, OW)` output and, when
 /// `want_cache` is set, the cache for the backward pass.
 ///
+/// With `want_cache` set (training) the input is lowered to the batch's
+/// im2col column matrix, which the cache keeps for the backward pass,
+/// multiplied by the weights and transposed to NCHW. Without it (eval)
+/// no column matrix is built: the weights are packed into GEMM bands
+/// once, and each image is lowered straight into the GEMM's rhs panel
+/// ([`Im2colPanel`]) and multiplied into its own `(C_out, OH·OW)` block
+/// of the output, which already is that image's NCHW slice. Images are
+/// split across the context's workers. Both paths compute every output
+/// element as the same ascending-k chain plus bias, so they agree bit
+/// for bit with each other and across thread counts.
+///
 /// All intermediates (and the output) are drawn from the context's
-/// workspace; the lowered column matrix and product matrix are recycled
-/// back into it, so steady-state eval forwards allocate nothing.
+/// workspace and recycled back into it, so steady-state eval forwards
+/// allocate nothing.
 ///
 /// # Panics
 ///
@@ -72,32 +83,96 @@ pub fn conv2d_forward(
         weight_mat.dims()[1],
         geom.rows()
     );
+    if let Some(b) = bias {
+        assert_eq!(b.len(), c_out, "conv2d_forward: bias length != C_out");
+    }
+    if !want_cache {
+        return (
+            conv2d_eval(ctx, input, weight_mat, weight_density, bias, &geom),
+            None,
+        );
+    }
     let ws = ctx.workspace();
     let cols = im2col_in(ctx, input, &geom);
     let mut ymat = matmul_hinted_in(ctx, weight_mat, &cols, weight_density);
     if let Some(b) = bias {
-        assert_eq!(b.len(), c_out, "conv2d_forward: bias length != C_out");
-        let ncols = geom.cols();
-        let yd = ymat.data_mut();
-        for (co, &bv) in b.iter().enumerate() {
-            for v in &mut yd[co * ncols..(co + 1) * ncols] {
-                *v += bv;
-            }
-        }
+        add_bias(ymat.data_mut(), b, geom.cols());
     }
     let y = mat_to_nchw_in(ctx, &ymat, &geom, c_out);
     ws.recycle(ymat);
-    let cache = if want_cache {
-        Some(ConvCache {
-            cols,
-            geom,
-            weight_mat: ws.clone_tensor(weight_mat),
-        })
-    } else {
-        ws.recycle(cols);
-        None
+    let cache = ConvCache {
+        cols,
+        geom,
+        weight_mat: ws.clone_tensor(weight_mat),
     };
-    (y, cache)
+    (y, Some(cache))
+}
+
+/// Adds `bias[c]` to the `c`-th `len`-element run of `out`.
+fn add_bias(out: &mut [f32], bias: &[f32], len: usize) {
+    if len == 0 {
+        return;
+    }
+    for (run, &bv) in out.chunks_exact_mut(len).zip(bias) {
+        for v in run {
+            *v += bv;
+        }
+    }
+}
+
+/// The eval half of [`conv2d_forward`]: weights packed once, then one
+/// [`for_each_span`](ExecCtx::for_each_span) over images, each worker
+/// lowering and multiplying the images it owns.
+fn conv2d_eval(
+    ctx: &ExecCtx,
+    input: &Tensor,
+    weight_mat: &Tensor,
+    weight_density: Density,
+    bias: Option<&[f32]>,
+    geom: &ConvGeom,
+) -> Tensor {
+    let ws = ctx.workspace();
+    let c_out = weight_mat.dims()[0];
+    let mut y = ws.take_tensor(&[geom.n, c_out, geom.oh, geom.ow]);
+    if y.is_empty() {
+        return y;
+    }
+    let lhs = PackedLhs::pack_in(ws, weight_mat, weight_density);
+    let out_len = c_out * geom.oh * geom.ow;
+    let src = input.data();
+    ctx.for_each_span(
+        y.data_mut(),
+        out_len,
+        out_len * geom.rows(),
+        |first, span| eval_images(ws, &lhs, geom, bias, src, first, span),
+    );
+    lhs.recycle(ws);
+    y
+}
+
+/// One worker's images of [`conv2d_eval`]: `out` holds the NCHW outputs
+/// of images `first..`, each lowered into the worker's own pooled panel
+/// and multiplied straight into its output block.
+fn eval_images(
+    ws: &Workspace,
+    lhs: &PackedLhs,
+    geom: &ConvGeom,
+    bias: Option<&[f32]>,
+    src: &[f32],
+    first: usize,
+    out: &mut [f32],
+) {
+    let pixels = geom.oh * geom.ow;
+    let image_len = geom.c_in * geom.h * geom.w;
+    let mut lowering = Im2colPanel::take(ws, geom);
+    for (i, y) in out.chunks_exact_mut(lhs.rows() * pixels).enumerate() {
+        let image = &src[(first + i) * image_len..(first + i + 1) * image_len];
+        lhs.gemm_into(lowering.lower(image), pixels, y);
+        if let Some(b) = bias {
+            add_bias(y, b, pixels);
+        }
+    }
+    lowering.recycle(ws);
 }
 
 /// Eval-only convolution forward on the packed integer fast path.
@@ -162,13 +237,7 @@ pub fn conv2d_forward_i8(
     ws.recycle_panel_i16(apanel);
     if let Some(b) = bias {
         assert_eq!(b.len(), c_out, "conv2d_forward_i8: bias length != C_out");
-        let ncols = geom.cols();
-        let yd = ymat.data_mut();
-        for (co, &bv) in b.iter().enumerate() {
-            for v in &mut yd[co * ncols..(co + 1) * ncols] {
-                *v += bv;
-            }
-        }
+        add_bias(ymat.data_mut(), b, geom.cols());
     }
     let y = mat_to_nchw_in(ctx, &ymat, &geom, c_out);
     ws.recycle(ymat);

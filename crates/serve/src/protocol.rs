@@ -106,14 +106,19 @@ fn bad(what: &str) -> io::Error {
 ///
 /// # Errors
 ///
-/// I/O errors, EOF mid-frame, or an over-[`MAX_FRAME`] length prefix.
+/// I/O errors, EOF mid-frame (inside the length prefix too), or an
+/// over-[`MAX_FRAME`] length prefix, which is refused before anything is
+/// allocated for the payload.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
+    // Only EOF before the prefix's first byte is clean; once a frame has
+    // started, a short read is a torn frame.
+    match r.read_exact(&mut len[..1]) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
+    r.read_exact(&mut len[1..])?;
     let len = u32::from_le_bytes(len) as usize;
     if len > MAX_FRAME {
         return Err(bad("length prefix exceeds MAX_FRAME"));

@@ -5,16 +5,21 @@
 //! `W_mat: (C_out, C_in·K_h·K_w)` and `cols: (C_in·K_h·K_w, N·OH·OW)`.
 //! [`col2im`] is the exact adjoint of [`im2col`] (a scatter-add), which is
 //! what the convolution backward pass needs — a property checked by a
-//! dedicated adjointness test. The i8 path lowers *codes* instead:
-//! [`code_im2row_i16_in`] codes the input once and gathers the codes
-//! straight into the integer GEMM's k-contiguous rhs panel.
+//! dedicated adjointness test; training uses both. Eval forwards never
+//! build the column matrix. The f32 eval conv lowers one image at a time
+//! straight into the f32 GEMM's rhs panel ([`Im2colPanel`]). The i8 path
+//! lowers *codes*: [`code_im2row_i16_in`] codes the input once and gathers
+//! the codes straight into the integer GEMM's k-contiguous rhs panel.
+//! Both gather from a zero-bordered copy of the input, so padding taps
+//! need no bounds checks.
 
 use serde::{Deserialize, Serialize};
 
 use crate::exec::ExecCtx;
+use crate::matmul::{rhs_panel_len, NR};
 use crate::matmul_i8::{code, max_abs, symmetric_scale};
 use crate::tensor::Tensor;
-use crate::workspace::I16Panel;
+use crate::workspace::{I16Panel, Workspace};
 
 /// Geometry of a 2-D convolution: input size, kernel, stride and padding.
 ///
@@ -121,6 +126,12 @@ impl ConvGeom {
     pub fn rows(&self) -> usize {
         self.n_tot()
     }
+
+    /// Elements in one image's zero-bordered copy:
+    /// `C_in · (H + 2·pad) · (W + 2·pad)`.
+    fn bordered_len(&self) -> usize {
+        self.c_in * (self.h + 2 * self.pad) * (self.w + 2 * self.pad)
+    }
 }
 
 /// Lowers an `(N, C, H, W)` input to the `(C·K_h·K_w, N·OH·OW)` column
@@ -188,6 +199,158 @@ pub fn im2col_in(ctx: &ExecCtx, input: &Tensor, geom: &ConvGeom) -> Tensor {
     cols
 }
 
+/// Copies the `(H, W)` planes of `src` (one or more images of `geom`'s
+/// input) into `dst` with a zero border of width `pad` on every side,
+/// mapping each element through `map`. The shared first step of both
+/// lowerings: with the border in place their gathers read padding taps
+/// as zeros without bounds checks. The f32 lowering maps by identity,
+/// the i8 one by its coder. Every element of `dst` is written, so a
+/// stale pooled buffer is fine.
+fn zero_border<T: Copy + Default>(
+    src: &[f32],
+    geom: &ConvGeom,
+    dst: &mut [T],
+    map: impl Fn(f32) -> T,
+) {
+    let (h, w, pad) = (geom.h, geom.w, geom.pad);
+    if h * w == 0 {
+        dst.fill(T::default()); // every tap is padding
+        return;
+    }
+    let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+    for (dplane, splane) in dst.chunks_mut(ph * pw).zip(src.chunks(h * w)) {
+        let (top, rest) = dplane.split_at_mut(pad * pw);
+        let (body, bottom) = rest.split_at_mut(h * pw);
+        top.fill(T::default());
+        bottom.fill(T::default());
+        for (drow, srow) in body.chunks_mut(pw).zip(splane.chunks(w)) {
+            drow[..pad].fill(T::default());
+            drow[pad + w..].fill(T::default());
+            for (d, &v) in drow[pad..pad + w].iter_mut().zip(srow) {
+                *d = map(v);
+            }
+        }
+    }
+}
+
+/// Per-worker scratch of the f32 eval convolution, which lowers one image
+/// at a time straight into the f32 GEMM's rhs panel instead of building
+/// the batch's column matrix.
+///
+/// [`Im2colPanel::lower`] writes, bit for bit, `pack_rhs_in(im2col(image))`:
+/// `NR`-pixel slivers, k-major, with padding taps zero. It copies the
+/// image into a zero-bordered scratch first (the border helper the i8
+/// lowering codes through), then gathers each sliver's taps from it. The
+/// ragged last sliver's pad lanes are never written, so they keep the
+/// zeros of the workspace take (the GEMM discards their products
+/// anyway). Both buffers come from the workspace; a worker takes one
+/// `Im2colPanel` and reuses it for every image it owns.
+#[derive(Debug)]
+pub struct Im2colPanel {
+    geom: ConvGeom,
+    bordered: Vec<f32>,
+    panel: Vec<f32>,
+}
+
+impl Im2colPanel {
+    /// Takes the scratch for one image of `geom`'s input (`geom.n` is
+    /// not used) from `ws`.
+    pub fn take(ws: &Workspace, geom: &ConvGeom) -> Self {
+        Im2colPanel {
+            geom: *geom,
+            bordered: ws.take(geom.bordered_len()),
+            panel: ws.take(rhs_panel_len(geom.rows(), geom.oh * geom.ow)),
+        }
+    }
+
+    /// Lowers one `(C, H, W)` image and returns its rhs panel, an
+    /// `(C·K_h·K_w, OH·OW)` operand for [`crate::PackedLhs::gemm_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` is not `C·H·W` long.
+    pub fn lower(&mut self, image: &[f32]) -> &[f32] {
+        let g = &self.geom;
+        assert_eq!(
+            image.len(),
+            g.c_in * g.h * g.w,
+            "Im2colPanel::lower: image length disagrees with geometry"
+        );
+        if self.panel.is_empty() {
+            return &self.panel;
+        }
+        zero_border(image, g, &mut self.bordered, |v| v);
+        let gather = match g.kw {
+            1 => im2col_slivers::<1>,
+            3 => im2col_slivers::<3>,
+            5 => im2col_slivers::<5>,
+            _ => im2col_slivers::<0>,
+        };
+        gather(&self.bordered, g, &mut self.panel);
+        &self.panel
+    }
+
+    /// Returns both buffers to the workspace.
+    pub fn recycle(self, ws: &Workspace) {
+        ws.recycle_vec(self.bordered);
+        ws.recycle_vec(self.panel);
+    }
+}
+
+/// Gathers every `NR`-pixel sliver of one image's rhs panel from its
+/// zero-bordered copy: tap `(c, ki, kj)` of output pixel `(oh, ow)` reads
+/// `bordered[c·plane + (oh·s + ki)·pw + ow·s + kj]`. A sliver whose
+/// pixels are consecutive in `bordered` (stride 1 within one output row,
+/// or a 1×1 kernel's wrap) copies each tap row whole; any other sliver
+/// gathers lane by lane. `KW` is the kernel width when known at compile
+/// time, `0` for "read `geom.kw`".
+fn im2col_slivers<const KW: usize>(bordered: &[f32], geom: &ConvGeom, panel: &mut [f32]) {
+    let kw = if KW > 0 { KW } else { geom.kw };
+    let (c, kh, stride) = (geom.c_in, geom.kh, geom.stride);
+    let pw = geom.w + 2 * geom.pad;
+    let plane = (geom.h + 2 * geom.pad) * pw;
+    let (ow, pixels) = (geom.ow, geom.oh * geom.ow);
+    let kdim = c * kh * kw;
+    for (p, sliver) in panel.chunks_exact_mut(NR * kdim).enumerate() {
+        let j0 = p * NR;
+        let width = NR.min(pixels - j0);
+        // Offset of each lane's top-left tap, strictly increasing.
+        let mut at = [0usize; NR];
+        let (mut ohi, mut owi) = (j0 / ow, j0 % ow);
+        for a in at.iter_mut().take(width) {
+            *a = ohi * stride * pw + owi * stride;
+            owi += 1;
+            if owi == ow {
+                (ohi, owi) = (ohi + 1, 0);
+            }
+        }
+        let mut taps = sliver.chunks_exact_mut(NR);
+        if width == NR && at[NR - 1] - at[0] == NR - 1 {
+            for ci in 0..c {
+                for ki in 0..kh {
+                    let row = ci * plane + ki * pw + at[0];
+                    for kj in 0..kw {
+                        let dst = taps.next().expect("one sliver row per tap");
+                        dst.copy_from_slice(&bordered[row + kj..row + kj + NR]);
+                    }
+                }
+            }
+        } else {
+            for ci in 0..c {
+                for ki in 0..kh {
+                    let row = ci * plane + ki * pw;
+                    for kj in 0..kw {
+                        let dst = taps.next().expect("one sliver row per tap");
+                        for (d, &a) in dst.iter_mut().zip(&at[..width]) {
+                            *d = bordered[row + kj + a];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Whether some output position's taps read input position `i` along one
 /// axis (`k` taps, `out` output positions).
 fn tap_reads(i: usize, k: usize, stride: usize, pad: usize, out: usize) -> bool {
@@ -252,21 +415,8 @@ pub fn code_im2row_i16_in(ctx: &ExecCtx, input: &Tensor, geom: &ConvGeom) -> (I1
     // Code once, into a copy of the input with a zero border of width
     // `pad`, so the gather below reads padding taps as code 0 without
     // bounds checks.
-    let (ph, pw) = (h + 2 * pad, w + 2 * pad);
-    let mut padded = ws.take_panel_i16(n * c * ph * pw);
-    for (dplane, splane) in padded.chunks_mut(ph * pw).zip(src.chunks(h * w)) {
-        let (top, rest) = dplane.split_at_mut(pad * pw);
-        let (body, bottom) = rest.split_at_mut(h * pw);
-        top.fill(0);
-        bottom.fill(0);
-        for (drow, srow) in body.chunks_mut(pw).zip(splane.chunks(w)) {
-            drow[..pad].fill(0);
-            drow[pad + w..].fill(0);
-            for (d, &v) in drow[pad..pad + w].iter_mut().zip(srow) {
-                *d = code(v, inv);
-            }
-        }
-    }
+    let mut padded = ws.take_panel_i16(n * geom.bordered_len());
+    zero_border(src, geom, &mut padded, |v| code(v, inv));
 
     // Lower: every output pixel's run reads `K_w` consecutive codes from
     // each of its `C·K_h` padded rows. A compile-time `K_w` for the

@@ -58,12 +58,13 @@ pub use ams_obs as obs;
 pub use ams_obs::MetricsSink;
 pub use conv::{
     code_im2row_i16_in, col2im, col2im_in, im2col, im2col_in, mat_to_nchw, mat_to_nchw_in,
-    nchw_to_mat, nchw_to_mat_in, ConvGeom,
+    nchw_to_mat, nchw_to_mat_in, ConvGeom, Im2colPanel,
 };
 pub use exec::{noise_stream_seed, ExecCtx, KernelDispatch, Parallelism};
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_in, matmul_a_bt_reference, matmul_at_b, matmul_at_b_in,
-    matmul_at_b_reference, matmul_hinted_in, matmul_in, matmul_reference, Density,
+    matmul_at_b_reference, matmul_hinted_in, matmul_in, matmul_reference, pack_rhs_in, Density,
+    PackedLhs,
 };
 pub use matmul_i8::{
     code_rows_i16_in, matmul_i8_a_bt_in, matmul_i8_in, matmul_i8_panels_in, matmul_i8_reference,

@@ -33,6 +33,15 @@
 //! the context's [`crate::Workspace`]), and the plain form is a serial
 //! wrapper (`matmul(a, b)` ≡ `matmul_in(&ExecCtx::serial(), a, b)`).
 //!
+//! # Pre-packed operands
+//!
+//! [`PackedLhs`] and [`pack_rhs_in`] expose the two panel layouts for
+//! callers that pack an operand once and multiply it many times. The eval
+//! convolution packs its weights into a [`PackedLhs`] once per call,
+//! lowers each image straight into rhs panel layout
+//! ([`crate::Im2colPanel`]) and runs [`PackedLhs::gemm_into`] into that
+//! image's slice of the output, on its own workers.
+//!
 //! # Sparse lhs gate
 //!
 //! The dense microkernel carries no per-element zero test — a branch
@@ -47,6 +56,7 @@
 
 use crate::exec::ExecCtx;
 use crate::tensor::Tensor;
+use crate::workspace::Workspace;
 
 /// Zero fraction of the lhs above which [`matmul_in`] uses the
 /// zero-skipping kernel instead of the dense vectorizable one.
@@ -61,7 +71,7 @@ pub const DENSITY_SAMPLE: usize = 4096;
 const MR: usize = 4;
 
 /// Columns per rhs panel sliver (microkernel width).
-const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 
 /// Products below this many scalar multiply-adds skip packing and run the
 /// naive loop (which computes the identical operation chain).
@@ -280,6 +290,99 @@ fn tiled_gemm(
     });
 }
 
+/// Length of the f32 GEMM's packed rhs panel for a `(kdim, n)` operand:
+/// `n` rounded up to whole `NR`-column slivers of `kdim` rows each.
+pub(crate) fn rhs_panel_len(kdim: usize, n: usize) -> usize {
+    n.div_ceil(NR) * NR * kdim
+}
+
+/// Packs a `(k, n)` rhs into the tiled f32 GEMM's panel layout, in a
+/// buffer drawn from `ws`: `NR`-column slivers, k-major,
+/// `panel[p·NR·k + kk·NR + jr] = b[kk][p·NR + jr]`, with the ragged last
+/// sliver's pad lanes zero.
+///
+/// # Panics
+///
+/// Panics if `b` is not 2-D.
+pub fn pack_rhs_in(ws: &Workspace, b: &Tensor) -> Vec<f32> {
+    let (kdim, n) = dims2("pack_rhs rhs", b);
+    let mut panel = ws.take(rhs_panel_len(kdim, n));
+    pack_panels(b.data(), n, kdim, n, NR, &mut panel);
+    panel
+}
+
+/// A GEMM lhs `(m, k)` packed once into the tiled kernel's `MR`-row
+/// bands, together with the microkernel its [`Density`] selects, so a
+/// caller multiplying one weight matrix by many rhs panels (the eval
+/// convolution: one panel per image) packs and classifies it once.
+#[derive(Debug)]
+pub struct PackedLhs {
+    panel: Vec<f32>,
+    rows: usize,
+    kdim: usize,
+    skip_zero: bool,
+}
+
+impl PackedLhs {
+    /// Packs `a` (row-major, so each band packs transposed rows) into
+    /// bands drawn from `ws`. `density` picks the dense or
+    /// the zero-skipping microkernel by the same test [`matmul_hinted_in`]
+    /// uses to pick its dense or row-skipping kernel; each pair computes
+    /// the same per-element chains, so [`PackedLhs::gemm_into`] equals
+    /// `matmul_hinted_in(a, b, density)` bit for bit at every size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not 2-D.
+    pub fn pack_in(ws: &Workspace, a: &Tensor, density: Density) -> Self {
+        let (m, kdim) = dims2("PackedLhs lhs", a);
+        let mut panel = ws.take(m.div_ceil(MR) * MR * kdim);
+        pack_panels_t(a.data(), kdim, kdim, m, MR, &mut panel);
+        PackedLhs {
+            panel,
+            rows: m,
+            kdim,
+            skip_zero: density.is_sparse(a.data()),
+        }
+    }
+
+    /// Rows `m` of the packed lhs.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Writes `out = lhs · rhs`, row-major `(m, n)`, for an rhs of `n`
+    /// columns already in [`pack_rhs_in`]'s panel layout. Runs serially on
+    /// the calling thread: the caller owns the parallel split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rhs_panel` or `out` is not sized for `n` columns.
+    pub fn gemm_into(&self, rhs_panel: &[f32], n: usize, out: &mut [f32]) {
+        assert_eq!(
+            rhs_panel.len(),
+            rhs_panel_len(self.kdim, n),
+            "gemm_into: rhs panel length disagrees with k = {} and n = {n}",
+            self.kdim
+        );
+        assert_eq!(
+            out.len(),
+            self.rows * n,
+            "gemm_into: output length disagrees with m = {} and n = {n}",
+            self.rows
+        );
+        if out.is_empty() {
+            return;
+        }
+        gemm_span(0, out, n, self.kdim, &self.panel, rhs_panel, self.skip_zero);
+    }
+
+    /// Returns the band buffer to the workspace.
+    pub fn recycle(self, ws: &Workspace) {
+        ws.recycle_vec(self.panel);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // matmul: C = A · B
 // ---------------------------------------------------------------------------
@@ -369,14 +472,10 @@ pub fn matmul_hinted_in(ctx: &ExecCtx, a: &Tensor, b: &Tensor, lhs_density: Dens
         });
         return c;
     }
-    // A is (m, k) row-major: bands along m pack transposed rows.
-    let mut apack = ws.take(m.div_ceil(MR) * MR * ka);
-    pack_panels_t(ad, ka, ka, m, MR, &mut apack);
-    // B is (k, n) row-major: slivers along n pack directly.
-    let mut bpack = ws.take(n.div_ceil(NR) * NR * ka);
-    pack_panels(bd, n, ka, n, NR, &mut bpack);
-    tiled_gemm(ctx, n, ka, &apack, &bpack, false, c.data_mut());
-    ws.recycle_vec(apack);
+    let lhs = PackedLhs::pack_in(ws, a, Density::Dense);
+    let bpack = pack_rhs_in(ws, b);
+    tiled_gemm(ctx, n, ka, &lhs.panel, &bpack, false, c.data_mut());
+    lhs.recycle(ws);
     ws.recycle_vec(bpack);
     c
 }
@@ -440,8 +539,7 @@ pub fn matmul_at_b_in(ctx: &ExecCtx, a: &Tensor, b: &Tensor) -> Tensor {
     // (k, m) layout.
     let mut apack = ws.take(m.div_ceil(MR) * MR * ka);
     pack_panels(ad, m, ka, m, MR, &mut apack);
-    let mut bpack = ws.take(n.div_ceil(NR) * NR * ka);
-    pack_panels(bd, n, ka, n, NR, &mut bpack);
+    let bpack = pack_rhs_in(ws, b);
     tiled_gemm(ctx, n, ka, &apack, &bpack, true, c.data_mut());
     ws.recycle_vec(apack);
     ws.recycle_vec(bpack);
@@ -496,12 +594,11 @@ pub fn matmul_a_bt_in(ctx: &ExecCtx, a: &Tensor, b: &Tensor) -> Tensor {
         return c;
     }
     // Both operands are k-minor: both pack transposed.
-    let mut apack = ws.take(m.div_ceil(MR) * MR * ka);
-    pack_panels_t(ad, ka, ka, m, MR, &mut apack);
-    let mut bpack = ws.take(n.div_ceil(NR) * NR * ka);
+    let lhs = PackedLhs::pack_in(ws, a, Density::Dense);
+    let mut bpack = ws.take(rhs_panel_len(ka, n));
     pack_panels_t(bd, ka, ka, n, NR, &mut bpack);
-    tiled_gemm(ctx, n, ka, &apack, &bpack, false, c.data_mut());
-    ws.recycle_vec(apack);
+    tiled_gemm(ctx, n, ka, &lhs.panel, &bpack, false, c.data_mut());
+    lhs.recycle(ws);
     ws.recycle_vec(bpack);
     c
 }
