@@ -7,7 +7,7 @@ use ams_quant::QuantScheme;
 use ams_serve::{ScenarioConfig, ServeArgs, ServeConfig};
 use ams_tensor::KernelDispatch;
 
-const USAGE: &str = "[--addr HOST:PORT] [--metrics-addr HOST:PORT] [--workers N] [--worker-threads N] [--max-batch N] [--max-delay-ms MS] [--enob E] [--scale quick|full|test] [--results DIR] [--model resnet-mini|lenet5] [--quant dorefa|bfp] [--error-model lumped|composite|per-vmac|drifting-pcm|ideal] [--kernel f32|i8] [--at-time T]";
+const USAGE: &str = "[--addr HOST:PORT] [--metrics-addr HOST:PORT] [--workers N] [--worker-threads N] [--max-batch N] [--enob E] [--scale quick|full|test] [--results DIR] [--model resnet-mini|lenet5] [--quant dorefa|bfp] [--error-model lumped|composite|per-vmac|drifting-pcm|ideal] [--kernel f32|i8] [--at-time T]";
 
 struct Args {
     addr: String,

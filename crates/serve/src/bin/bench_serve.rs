@@ -6,14 +6,14 @@
 //! mode), so one invocation produces a self-contained A/B comparison.
 
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ams_exp::usage_exit;
 use ams_serve::protocol::ServeClient;
 use ams_serve::{LoadedScenario, ScenarioConfig, ServeArgs, ServeConfig};
 use serde::Serialize;
 
-const USAGE: &str = "[--scale quick|full|test] [--results DIR] [--enob E] [--concurrency N] [--requests N] [--warmup N] [--workers N] [--worker-threads N] [--max-batch N] [--max-delay-ms MS] [--out PATH]";
+const USAGE: &str = "[--scale quick|full|test] [--results DIR] [--enob E] [--concurrency N] [--requests N] [--warmup N] [--workers N] [--worker-threads N] [--max-batch N] [--out PATH]";
 
 struct Args {
     scenario: ScenarioConfig,
@@ -70,7 +70,6 @@ struct ModeResult {
     /// What this mode measures, in words.
     note: String,
     max_batch: usize,
-    max_delay_ms: f64,
     workers: usize,
     total_requests: usize,
     wall_s: f64,
@@ -182,7 +181,6 @@ fn run_mode(
         mode: name.to_string(),
         note: note.to_string(),
         max_batch: serve.max_batch,
-        max_delay_ms: serve.max_delay.as_secs_f64() * 1e3,
         workers: serve.workers,
         total_requests: total,
         wall_s,
@@ -226,7 +224,6 @@ fn main() {
     // what adaptive batching alone buys.
     let batch1 = ServeConfig {
         max_batch: 1,
-        max_delay: Duration::ZERO,
         ..args.serve.clone()
     };
     eprintln!(
@@ -246,9 +243,8 @@ fn main() {
         r1.req_per_s, r1.latency_ms.p50, r1.mean_batch
     );
     eprintln!(
-        "[bench_serve] mode adaptive (max_batch {}, max_delay {:.1} ms) ...",
-        args.serve.max_batch,
-        args.serve.max_delay.as_secs_f64() * 1e3
+        "[bench_serve] mode adaptive (max_batch {}) ...",
+        args.serve.max_batch
     );
     let r2 = run_mode(
         "adaptive",
@@ -266,7 +262,7 @@ fn main() {
     let speedup = r2.req_per_s / r1.req_per_s;
     eprintln!("[bench_serve] adaptive speedup: {speedup:.2}x");
     let report = BenchReport {
-        schema: "ams-bench/serve/v2".to_string(),
+        schema: "ams-bench/serve/v3".to_string(),
         scale: args.scenario.scale.name.clone(),
         model: args.scenario.model.key().to_string(),
         quant: args.scenario.quant.key().to_string(),

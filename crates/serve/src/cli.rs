@@ -1,14 +1,12 @@
 //! Command-line parsing shared by the `ams-serve` daemon and the
 //! `bench_serve` load generator.
 //!
-//! Both binaries take `--flag value` pairs only. The seven flags they
-//! share (`--workers`, `--worker-threads`, `--max-batch`,
-//! `--max-delay-ms`, `--enob`, `--scale`, `--results`) are parsed and
-//! validated here, before any scenario loads or trains; each binary
-//! handles its own flags through a callback. A bad value is a usage error
-//! (see [`ams_exp::usage_exit`]), never a panic further down.
-
-use std::time::Duration;
+//! Both binaries take `--flag value` pairs only. The six flags they
+//! share (`--workers`, `--worker-threads`, `--max-batch`, `--enob`,
+//! `--scale`, `--results`) are parsed and validated here, before any
+//! scenario loads or trains; each binary handles its own flags through a
+//! callback. A bad value is a usage error (see [`ams_exp::usage_exit`]),
+//! never a panic further down.
 
 use ams_exp::Scale;
 
@@ -58,8 +56,8 @@ pub struct ServeArgs {
     /// What to serve (`--scale`, `--results`, `--enob`, plus whatever
     /// scenario flags the binary adds).
     pub scenario: ScenarioConfig,
-    /// Pool and coalescing knobs (`--workers`, `--worker-threads`,
-    /// `--max-batch`, `--max-delay-ms`).
+    /// Pool and batching knobs (`--workers`, `--worker-threads`,
+    /// `--max-batch`).
     pub serve: ServeConfig,
 }
 
@@ -104,15 +102,6 @@ impl ServeArgs {
                     .map_err(|e| format!("--worker-threads needs an integer: {e}"))?;
             }
             "--max-batch" => self.serve.max_batch = flag.positive_integer()?,
-            "--max-delay-ms" => {
-                let ms: f64 = flag
-                    .value()?
-                    .parse()
-                    .map_err(|e| format!("--max-delay-ms needs a number: {e}"))?;
-                self.serve.max_delay = Duration::try_from_secs_f64(ms / 1e3).map_err(|_| {
-                    format!("--max-delay-ms needs a non-negative finite number, got {ms}")
-                })?;
-            }
             "--enob" => {
                 let enob: f64 = flag
                     .value()?

@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! accept loop ──► per-connection reader ──► dispatcher queue (mpsc)
-//!                     │                          │  coalesce ≤ max_batch,
-//!                     ▼                          ▼  wait ≤ max_delay
+//!                     │                          │  claim an idle worker,
+//!                     ▼                          ▼  take ≤ max_batch queued
 //!              per-connection writer ◄── worker 0..N (owned replica +
 //!                                         deterministic RNG streams)
 //! ```
@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -46,7 +46,7 @@ pub const LATENCY_MS_BOUNDS: [f64; 13] = [
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0,
 ];
 
-/// Pool and coalescing knobs.
+/// Pool and batching knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker replicas (each owns a model + workspace + RNG streams).
@@ -59,11 +59,6 @@ pub struct ServeConfig {
     /// amortization, and large batches only add queueing delay and
     /// working-set pressure.
     pub max_batch: usize,
-    /// Cap on how long a request may wait for co-batched company,
-    /// measured from its enqueue. Under load the queue outlives this cap
-    /// on its own and dispatch is immediate; the cap only bites when a
-    /// lone request would otherwise leave with an empty batch.
-    pub max_delay: Duration,
 }
 
 impl Default for ServeConfig {
@@ -72,7 +67,6 @@ impl Default for ServeConfig {
             workers: 2,
             threads_per_worker: 0,
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
         }
     }
 }
@@ -176,6 +170,7 @@ pub fn start(
     sink.add("serve.responses", 0);
     registry.histogram("serve.batch.size", &BATCH_SIZE_BOUNDS);
     registry.histogram("serve.request.latency_ms", &LATENCY_MS_BOUNDS);
+    registry.histogram("serve.request.queue_wait_ms", &LATENCY_MS_BOUNDS);
     // Drift-time gauge: the simulated inference time of the most recent
     // forward. Starts at the scenario's configured time so /metrics is
     // fully shaped before the first request.
@@ -316,6 +311,11 @@ fn worker_loop(
                     &LATENCY_MS_BOUNDS,
                     job.enqueued.elapsed().as_secs_f64() * 1e3,
                 );
+                sink.observe_histogram(
+                    "serve.request.queue_wait_ms",
+                    &LATENCY_MS_BOUNDS,
+                    t0.saturating_duration_since(job.enqueued).as_secs_f64() * 1e3,
+                );
                 sink.inc("serve.responses");
             }
         }
@@ -344,77 +344,41 @@ fn dispatcher_loop(
         sink.observe("serve.queue.depth", remaining.max(0) as f64);
         let _ = worker_txs[w].send(WorkerMsg::Batch(batch));
     };
-    'serve: loop {
+    loop {
         let first = match queue_rx.recv() {
-            Ok(m) => m,
-            Err(_) => break 'serve, // all connections and the acceptor gone
-        };
-        let mut batch = Vec::new();
-        match first {
-            DispatchMsg::Job(j) => batch.push(j),
-            DispatchMsg::Drain(a) => {
+            Ok(DispatchMsg::Job(j)) => j,
+            Ok(DispatchMsg::Drain(a)) => {
                 acks.push(a);
-                break 'serve;
+                break;
             }
-        }
+            Err(_) => break, // all connections and the acceptor gone
+        };
         // Adaptive, work-conserving coalescing: claim a worker first —
         // while every replica is busy, arrivals pile up behind us, so the
         // batch size adapts to pool pressure on its own. Once a worker is
-        // in hand, take everything already queued, then wait for company
-        // only until the oldest request has been in the daemon for
-        // max_delay. Under load that deadline is already spent and
-        // dispatch is immediate; a free worker never idles on a timer
-        // while requests wait.
+        // in hand, take whatever is already queued and send it: nothing
+        // waits on a clock, so a lone request under light load leaves at
+        // once as a batch of one.
         let w = claim(&mut idle);
-        if cfg.max_batch > 1 {
-            while batch.len() < cfg.max_batch {
-                match queue_rx.try_recv() {
-                    Ok(DispatchMsg::Job(j)) => batch.push(j),
-                    Ok(DispatchMsg::Drain(a)) => {
-                        acks.push(a);
-                        send_batch(w, batch);
-                        break 'serve;
-                    }
-                    Err(_) => break,
-                }
-            }
-            let deadline = batch[0].enqueued + cfg.max_delay;
-            while batch.len() < cfg.max_batch {
-                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                    break;
-                };
-                match queue_rx.recv_timeout(left) {
-                    Ok(DispatchMsg::Job(j)) => batch.push(j),
-                    Ok(DispatchMsg::Drain(a)) => {
-                        acks.push(a);
-                        send_batch(w, batch);
-                        break 'serve;
-                    }
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
+        let (batch, drain) = next_batch(first, queue_rx, cfg.max_batch);
         send_batch(w, batch);
+        if let Some(a) = drain {
+            acks.push(a);
+            break;
+        }
     }
     // Drain: everything enqueued before the shutdown frame (mpsc is FIFO)
     // still gets dispatched and answered before the ack goes out.
-    let mut pending = Vec::new();
-    loop {
-        match queue_rx.try_recv() {
-            Ok(DispatchMsg::Job(j)) => {
-                pending.push(j);
-                if pending.len() == cfg.max_batch {
-                    let w = claim(&mut idle);
-                    send_batch(w, std::mem::take(&mut pending));
-                }
+    while let Ok(msg) = queue_rx.try_recv() {
+        match msg {
+            DispatchMsg::Job(first) => {
+                let w = claim(&mut idle);
+                let (batch, drain) = next_batch(first, queue_rx, cfg.max_batch);
+                send_batch(w, batch);
+                acks.extend(drain);
             }
-            Ok(DispatchMsg::Drain(a)) => acks.push(a),
-            Err(_) => break,
+            DispatchMsg::Drain(a) => acks.push(a),
         }
-    }
-    if !pending.is_empty() {
-        let w = claim(&mut idle);
-        send_batch(w, pending);
     }
     // Wait for every worker to finish its final batch, then stop them.
     while idle.len() < worker_txs.len() {
@@ -429,6 +393,25 @@ fn dispatcher_loop(
     for ack in acks {
         let _ = ack.send(());
     }
+}
+
+/// Forms one batch: `first` plus every job already queued behind it, up
+/// to `max_batch`, without blocking. A queued `Drain` ends the batch and
+/// is returned with it; `max_batch` 1 never touches the queue.
+fn next_batch(
+    first: Job,
+    queue_rx: &Receiver<DispatchMsg>,
+    max_batch: usize,
+) -> (Vec<Job>, Option<Sender<()>>) {
+    let mut batch = vec![first];
+    while batch.len() < max_batch {
+        match queue_rx.try_recv() {
+            Ok(DispatchMsg::Job(j)) => batch.push(j),
+            Ok(DispatchMsg::Drain(a)) => return (batch, Some(a)),
+            Err(_) => break,
+        }
+    }
+    (batch, None)
 }
 
 fn accept_loop(
@@ -583,4 +566,77 @@ fn serve_http(mut stream: TcpStream, registry: &Arc<Registry>) -> io::Result<()>
         body.len()
     );
     stream.write_all(response.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn job(seq: u64) -> Job {
+        Job {
+            seq,
+            seed: seq,
+            t_infer: None,
+            pixels: Vec::new(),
+            reply: mpsc::channel().0,
+            enqueued: Instant::now(),
+        }
+    }
+
+    /// A queue holding `jobs` queued jobs. The caller keeps the sender
+    /// alive, so a blocking receive on an emptied queue would hang.
+    fn queue(jobs: u64) -> (Sender<DispatchMsg>, Receiver<DispatchMsg>) {
+        let (tx, rx) = mpsc::channel();
+        for seq in 1..=jobs {
+            tx.send(DispatchMsg::Job(job(seq))).unwrap();
+        }
+        (tx, rx)
+    }
+
+    fn seqs(batch: &[Job]) -> Vec<u64> {
+        batch.iter().map(|j| j.seq).collect()
+    }
+
+    #[test]
+    fn takes_everything_queued_without_waiting() {
+        let (_tx, rx) = queue(3);
+        let (batch, drain) = next_batch(job(0), &rx, 8);
+        assert_eq!(seqs(&batch), [0, 1, 2, 3]);
+        assert!(drain.is_none());
+        assert!(rx.try_recv().is_err());
+    }
+
+    #[test]
+    fn stops_at_max_batch_and_leaves_the_rest_queued() {
+        let (_tx, rx) = queue(10);
+        let (batch, drain) = next_batch(job(0), &rx, 8);
+        assert_eq!(seqs(&batch), (0..8).collect::<Vec<_>>());
+        assert!(drain.is_none());
+        assert_eq!(rx.try_iter().count(), 3);
+    }
+
+    #[test]
+    fn a_queued_drain_ends_the_batch_and_is_returned() {
+        let (tx, rx) = queue(2);
+        let (ack_tx, ack_rx) = mpsc::channel();
+        tx.send(DispatchMsg::Drain(ack_tx)).unwrap();
+        tx.send(DispatchMsg::Job(job(9))).unwrap();
+        let (batch, drain) = next_batch(job(0), &rx, 8);
+        assert_eq!(seqs(&batch), [0, 1, 2]);
+        drain.expect("the drain is returned").send(()).unwrap();
+        assert!(ack_rx.try_recv().is_ok());
+        match rx.try_recv() {
+            Ok(DispatchMsg::Job(j)) => assert_eq!(j.seq, 9),
+            _ => panic!("the job behind the drain stays queued"),
+        }
+    }
+
+    #[test]
+    fn batch_of_one_never_touches_the_queue() {
+        let (_tx, rx) = queue(2);
+        let (batch, drain) = next_batch(job(0), &rx, 1);
+        assert_eq!(seqs(&batch), [0]);
+        assert!(drain.is_none());
+        assert_eq!(rx.try_iter().count(), 2);
+    }
 }

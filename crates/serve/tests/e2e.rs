@@ -4,7 +4,6 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
 
 use ams_exp::Scale;
 use ams_nn::Mode;
@@ -64,7 +63,6 @@ fn daemon_matches_offline_eval_and_drains_on_shutdown() {
         workers: 2,
         threads_per_worker: 1,
         max_batch: 8,
-        max_delay: Duration::from_millis(5),
         ..ServeConfig::default()
     };
     let handle = ams_serve::start(scenario.clone(), serve, "127.0.0.1:0", "127.0.0.1:0")
@@ -140,8 +138,17 @@ fn daemon_matches_offline_eval_and_drains_on_shutdown() {
         prom_value(&metrics, "serve_request_latency_ms_count"),
         total
     );
+    assert_eq!(
+        prom_value(&metrics, "serve_request_queue_wait_ms_count"),
+        total
+    );
     let batches = prom_value(&metrics, "serve_batch_size_count");
     assert!(batches >= 1.0 && batches <= total);
+    // Batch sizes depend on timing, so the mean is reported, not asserted.
+    eprintln!(
+        "e2e: {total} requests in {batches} batches, mean batch {:.2}",
+        total / batches
+    );
     assert!(http_get(metrics_addr, "/nope").contains("not found"));
 
     // Time-pinned classify: the reply echoes the pinned time, and under

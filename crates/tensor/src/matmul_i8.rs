@@ -13,15 +13,15 @@
 //!   into workspace [`I16Panel`]s sliced to a 64-byte-aligned start, so
 //!   every vector load stays within one cache line and warm forwards
 //!   allocate no panel;
-//! * the microkernel is a plain single-accumulator `i16·i16→i32` dot
-//!   product ([`BAND_I8`] rows share one L1-resident rhs column). This
-//!   exact reduction shape is what LLVM's x86 partial-reduction pass
-//!   rewrites into `pmaddwd` (8 multiply-adds per instruction — 4 i8
-//!   lanes per f32 lane, the whole point of the integer path). Register
-//!   tiles or multi-output dots break that pattern match and fall back to
-//!   scalar-ish code half as fast, which is why the loop nest here is
-//!   blocked for cache ([`JB_I8`]-column rhs blocks against
-//!   [`BAND_I8`]-row lhs bands) rather than for registers;
+//! * the dense microkernel runs a whole [`BAND_I8`]-row band against one
+//!   L1-resident rhs column in a single pass over K: each rhs element is
+//!   loaded once and feeds four independent `i16·i16→i32` accumulators,
+//!   which LLVM vectorizes into `pmaddwd` (8 multiply-adds per
+//!   instruction — 4 i8 lanes per f32 lane, the whole point of the
+//!   integer path) with no scalar tail loop for short K. The zero-skipping
+//!   kernel and partial bands use a single-accumulator dot. The loop nest
+//!   is blocked for cache ([`JB_I8`]-column rhs blocks against
+//!   [`BAND_I8`]-row lhs bands);
 //! * dequantization (and an optional bias) is fused into the epilogue:
 //!   the integer accumulator is scaled straight into the f32 output, so
 //!   callers never materialize an f32 copy of the quantized operand.
@@ -249,6 +249,27 @@ fn dot_i16_skip_zero(a: &[i16], b: &[i16]) -> i32 {
     acc
 }
 
+/// One band's dense dots against one rhs column in a single pass over a
+/// ≤[`K_CHUNK`] reduction: each `b` element is loaded once and feeds
+/// [`BAND_I8`] independent i32 accumulators. The chunk bound keeps every
+/// sum exact, so each lane equals [`dot_i16`] of its row bit for bit; the
+/// gain is short K (the 3×3 stem's 27, 1×1 projections' C_in) and every
+/// `K % 32` tail, which [`dot_i16`] runs as a scalar loop.
+#[inline]
+fn dot_band_i16(rows: [&[i16]; BAND_I8], b: &[i16]) -> [i32; BAND_I8] {
+    let k = b.len();
+    let [a0, a1, a2, a3] = rows.map(|r| &r[..k]);
+    let (mut s0, mut s1, mut s2, mut s3) = (0i32, 0i32, 0i32, 0i32);
+    for i in 0..k {
+        let y = b[i] as i32;
+        s0 = s0.wrapping_add(a0[i] as i32 * y);
+        s1 = s1.wrapping_add(a1[i] as i32 * y);
+        s2 = s2.wrapping_add(a2[i] as i32 * y);
+        s3 = s3.wrapping_add(a3[i] as i32 * y);
+    }
+    [s0, s1, s2, s3]
+}
+
 /// Full-K exact dot: split-K i32 partial dots widened into an i64 total.
 #[inline]
 fn dot_full(a: &[i16], b: &[i16], skip_zero_lhs: bool) -> i64 {
@@ -300,9 +321,19 @@ fn gemm_span_i8(
         let mut r0 = 0;
         while r0 < rows_here {
             let r1 = (r0 + BAND_I8).min(rows_here);
+            let whole_band = !skip_zero_lhs && kdim <= K_CHUNK && r1 - r0 == BAND_I8;
             for j in j0..j1 {
                 let bc = &bpanel[j * kdim..(j + 1) * kdim];
                 let bias = col_bias.map_or(0.0, |b| b[j]);
+                if whole_band {
+                    let rows = std::array::from_fn(|r| {
+                        &apanel[(row0 + r0 + r) * kdim..(row0 + r0 + r + 1) * kdim]
+                    });
+                    for (r, d) in (r0..r1).zip(dot_band_i16(rows, bc)) {
+                        span[r * n + j] = d as f32 * scale + bias;
+                    }
+                    continue;
+                }
                 for r in r0..r1 {
                     let ar = &apanel[(row0 + r) * kdim..(row0 + r + 1) * kdim];
                     let wide = dot_full(ar, bc, skip_zero_lhs);
