@@ -440,8 +440,9 @@ pub trait ErrorModel: fmt::Debug + Send {
     /// mismatch, programming noise, conductance drift at `ctx.t`),
     /// returning the perturbed copy, or `None` when the model leaves
     /// weights untouched. Deterministic per `(chip seed, ctx.layer,
-    /// ctx.t)` — never touches the injection RNG cursor, so calling it
-    /// once per forward is idempotent within a pass.
+    /// ctx.t)` and never touches the injection RNG cursor, so layers
+    /// fold it once into their frozen eval weights and refold only when
+    /// the weights or `ctx.t` change.
     fn realize_weights(&self, weights: &Tensor, ctx: &NoiseContext) -> Option<Tensor>;
 
     /// Whether [`ErrorModel::realize_weights`] would return a perturbed
@@ -449,14 +450,6 @@ pub trait ErrorModel: fmt::Debug + Send {
     /// works on pre-coded weights and cannot apply an f32 perturbation;
     /// models that perturb keep the f32 kernels.
     fn perturbs_weights(&self) -> bool {
-        false
-    }
-
-    /// Whether this model's weight realization depends on the context's
-    /// inference time `t`. Layers must not fold such a model's
-    /// [`ErrorModel::realize_weights`] into frozen eval weights — the
-    /// fold would pin one `t` forever.
-    fn time_dependent(&self) -> bool {
         false
     }
 
@@ -700,9 +693,10 @@ fn drift_layer_seed(chip_seed: u64, layer: u64) -> u64 {
 /// and the model reduces bitwise to programming noise only.
 ///
 /// A weight-domain model: [`ErrorModel::sigma_hint`] is `None`, injection
-/// is a no-op, and [`ErrorModel::perturbs_weights`] /
-/// [`ErrorModel::time_dependent`] route layers onto the f32 reference
-/// path with no frozen-weight folding.
+/// is a no-op, and [`ErrorModel::perturbs_weights`] routes layers onto
+/// the f32 reference path. Layers fold the realization at their current
+/// inference time into their frozen eval weights and rebuild them when
+/// the time changes.
 #[derive(Debug)]
 pub struct DriftingPcm {
     nu: f64,
@@ -759,10 +753,6 @@ impl ErrorModel for DriftingPcm {
     }
 
     fn perturbs_weights(&self) -> bool {
-        true
-    }
-
-    fn time_dependent(&self) -> bool {
         true
     }
 
@@ -1075,7 +1065,6 @@ mod tests {
         let mut model = ErrorModelConfig::drifting_pcm(0.06).build(None, None, 1);
         assert!(model.sigma_hint(512).is_none());
         assert!(model.perturbs_weights(), "drift must gate off the i8 path");
-        assert!(model.time_dependent(), "drift must not be frozen-folded");
         let mut t = Tensor::ones(&[4, 4]);
         model.inject(&ctx, &mut t, 64);
         assert_eq!(t, Tensor::ones(&[4, 4]), "no additive injection");

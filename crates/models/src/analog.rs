@@ -5,9 +5,16 @@
 //! `N_tot` (Eq. 1–2). [`AnalogGemm`] owns everything that policy needs —
 //! the shadow weight, quantizer, error model, frozen eval weights,
 //! per-request noise seeds, inference time, compensation and probes — and
-//! runs the one forward that picks the kernel path, injects, compensates
-//! and observes. A layer contributes only its geometry through
+//! runs the one forward that picks the kernel, injects, compensates and
+//! observes. A layer contributes only its geometry through
 //! [`GemmGeometry`]: how its input meets the weight matrix on each kernel.
+//!
+//! Training quantizes the shadow weights every forward (they move every
+//! step). Evaluation never does: like programmed hardware, it reads the
+//! frozen eval weights, a cache of one pure function of the shadow
+//! weights and the inference time. The first eval forward fills it; any
+//! mutable access to the shadow weight, and any bitwise change of the
+//! inference time, drops it.
 
 use std::sync::Arc;
 
@@ -56,19 +63,6 @@ pub(crate) trait GemmGeometry {
 
     /// Returns a cache's pooled tensors to the workspace.
     fn retire(ws: &Workspace, cache: Self::Cache);
-}
-
-/// The kernel path of one forward.
-enum GemmPath {
-    /// Frozen pre-coded i8 weights on the integer GEMM.
-    FrozenI8(Arc<FrozenLayerWeights>),
-    /// Frozen f32 weights (f32 GEMM or per-VMAC simulation).
-    FrozenF32(Arc<FrozenLayerWeights>),
-    /// Weights coded to i8 this forward.
-    LiveI8,
-    /// Weights quantized and realized this forward (f32 GEMM or per-VMAC
-    /// simulation); the only path that trains.
-    LiveF32,
 }
 
 /// One analog layer's GEMM: the paper's quantized layer (Fig. 3) with
@@ -155,7 +149,11 @@ impl AnalogGemm {
         &self.weight
     }
 
+    /// The only mutable path to the shadow weight (optimizer steps,
+    /// checkpoint loads, gradient zeroing): it drops the frozen eval
+    /// weights, which the next eval forward rebuilds from the new values.
     pub(crate) fn weight_mut(&mut self) -> &mut Param {
+        self.frozen = None;
         &mut self.weight
     }
 
@@ -195,32 +193,29 @@ impl AnalogGemm {
         self.model.restore(std::slice::from_ref(state));
     }
 
-    /// Quantizes the shadow weights once into an immutable eval-ready
-    /// form, installs it on this layer, and returns it for sharing with
-    /// worker replicas ([`crate::SharedModelWeights`]).
+    /// Builds this layer's eval weights from the current shadow weights at
+    /// the current inference time, installs them as the eval cache, and
+    /// returns them for sharing with worker replicas
+    /// ([`crate::SharedModelWeights`]).
     ///
-    /// Deterministic quantization makes subsequent eval forwards
-    /// bit-identical to the per-forward quantization they skip. Training
-    /// ignores the frozen copy (the shadows keep moving), and a mismatch
-    /// overlay is folded in here — it is deterministic per layer — with
-    /// the i8 form omitted, matching the live dispatch gate.
+    /// The eval weights are the quantized shadow weights with the error
+    /// model's weight-domain realization folded in (device mismatch,
+    /// programming noise, conductance drift at `t`), plus their pre-coded
+    /// i8 form whenever both widths fit 8 bits and nothing perturbs the
+    /// f32 weights, whatever kernel `ctx` dispatches to. Every eval
+    /// forward reads this cache, and the first one on an empty cache
+    /// calls this; training ignores it (the shadows move every step).
     pub fn freeze_eval_weights(&mut self, ctx: &ExecCtx) -> Arc<FrozenLayerWeights> {
         let ws = ctx.workspace();
         let qw = self.quantizer.quantize_weights_in(ws, &self.weight.value);
         ws.recycle(qw.ste_scale);
-        // A time-dependent realization (conductance drift) must not be
-        // folded into frozen weights — the fold would pin one inference
-        // time forever; the live forward bypasses the frozen copy anyway.
-        let realized = if self.model.time_dependent() {
-            qw.values
-        } else {
-            let noise_ctx = NoiseContext::eval(self.layer_index).at_time(self.t_infer);
-            self.realize(ws, qw.values, &noise_ctx)
-        };
-        let wmat = realized
+        let noise_ctx = NoiseContext::eval(self.layer_index).at_time(self.t_infer);
+        let wmat = self
+            .realize(ws, qw.values, &noise_ctx)
             .reshape(&self.wmat_dims())
             .expect("weight matrix shape");
-        let i8 = (self.quantizer.weight_bits() <= 8 && !self.model.perturbs_weights()).then(|| {
+        let i8_fits = self.quantizer.weight_bits() <= 8 && self.quantizer.activation_bits() <= 8;
+        let i8 = (i8_fits && !self.model.perturbs_weights()).then(|| {
             self.quantizer
                 .quantize_weights_i8_in(ws, &self.weight.value)
         });
@@ -235,7 +230,9 @@ impl AnalogGemm {
 
     /// Installs frozen weights produced by [`AnalogGemm::freeze_eval_weights`]
     /// on a twin layer (same architecture, typically another worker's
-    /// replica), so replicas share one weight buffer.
+    /// replica), so replicas share one weight buffer. The twin must hold
+    /// the same shadow weights at the same inference time: the adopted
+    /// weights are this layer's eval cache, dropped like one it built.
     ///
     /// # Panics
     ///
@@ -262,8 +259,13 @@ impl AnalogGemm {
 
     /// Sets the simulated inference time (seconds since programming) that
     /// this layer's [`NoiseContext`] carries into every error-model
-    /// evaluation. Only time-dependent models (conductance drift) read it.
+    /// evaluation. Only conductance drift reads it. A bitwise change drops
+    /// the frozen eval weights, which fold the weight realization at one
+    /// `t`; the next eval forward rebuilds them at the new time.
     pub fn set_inference_time(&mut self, t: f64) {
+        if t.to_bits() != self.t_infer.to_bits() {
+            self.frozen = None;
+        }
         self.t_infer = t;
     }
 
@@ -338,41 +340,39 @@ impl AnalogGemm {
         }
     }
 
-    /// Picks the kernel path of one forward.
-    fn path(&self, ctx: &ExecCtx, train: bool, per_vmac: bool) -> GemmPath {
-        // The integer GEMM: eval-only, activations ≤ 8 bits, and not
-        // replaced by the per-VMAC simulation. Error injection still runs
-        // on the f32 output — only the dot product moves to i8.
-        let i8_kernel = ctx.kernel() == KernelDispatch::I8
-            && !train
-            && self.quantizer.activation_bits() <= 8
-            && !per_vmac;
-        // Frozen eval weights (serving replicas) skip the per-forward
-        // quantization entirely. Training ignores the frozen copy, and a
-        // time-dependent realization (drift) bypasses it — the frozen fold
-        // would pin one inference time.
-        let frozen = if train || self.model.time_dependent() {
-            None
-        } else {
-            self.frozen.clone()
+    /// The eval GEMM on the frozen weights, built first if the cache is
+    /// empty: the per-VMAC simulation when the error model asks for it,
+    /// else the integer GEMM when the context dispatches to it and the
+    /// frozen weights have an i8 form, else the f32 GEMM. Error injection
+    /// still runs on the f32 output — only the dot product moves to i8.
+    fn forward_eval<G: GemmGeometry>(
+        &mut self,
+        geom: &G,
+        ctx: &ExecCtx,
+        xq: &Tensor,
+        sim: Option<&VmacSimulator>,
+    ) -> Tensor {
+        let fw = match &self.frozen {
+            Some(fw) => Arc::clone(fw),
+            None => self.freeze_eval_weights(ctx),
         };
-        match frozen {
-            Some(fw) if i8_kernel && fw.i8.is_some() => GemmPath::FrozenI8(fw),
-            Some(fw) => GemmPath::FrozenF32(fw),
-            // Live i8 codes also need ≤ 8-bit weights and no f32 weight
-            // perturbation — the gate freezing applies to its i8 form.
-            None if i8_kernel
-                && self.quantizer.weight_bits() <= 8
-                && !self.model.perturbs_weights() =>
-            {
-                GemmPath::LiveI8
+        let i8 = fw
+            .i8
+            .as_ref()
+            .filter(|_| ctx.kernel() == KernelDispatch::I8);
+        match (sim, i8) {
+            (Some(sim), _) => geom.forward_per_vmac(ctx, xq, &fw.wmat, sim),
+            (None, Some(qi)) if self.request_seeds.is_some() => {
+                forward_i8_per_image(geom, ctx, xq, qi)
             }
-            None => GemmPath::LiveF32,
+            (None, Some(qi)) => geom.forward_i8(ctx, xq, qi),
+            (None, None) => geom.forward_f32(ctx, xq, &fw.wmat, fw.density, false).0,
         }
     }
 
-    /// The layer forward: quantize the input, run the GEMM on the chosen
-    /// path, inject the AMS error, compensate, and observe.
+    /// The layer forward: quantize the input, run the GEMM (on freshly
+    /// quantized weights in training, on the frozen ones in eval), inject
+    /// the AMS error, compensate, and observe.
     pub(crate) fn forward<G: GemmGeometry>(
         &mut self,
         geom: &G,
@@ -406,47 +406,25 @@ impl AnalogGemm {
             None
         };
         // One context per forward: every error-model evaluation below
-        // (weight realization, injection) happens under it.
+        // (training's weight realization, injection) happens under it.
         let noise_ctx = NoiseContext {
             t: self.t_infer,
             train,
             layer: self.layer_index,
             stream: None,
         };
-        let (mut y, new_cache) = match self.path(ctx, train, sim.is_some()) {
-            GemmPath::FrozenI8(fw) => {
-                let qi = fw.i8.as_ref().expect("chosen only with an i8 form");
-                let y = if self.request_seeds.is_some() {
-                    forward_i8_per_image(geom, ctx, &xq, qi)
-                } else {
-                    geom.forward_i8(ctx, &xq, qi)
-                };
-                (y, None)
-            }
-            GemmPath::FrozenF32(fw) => {
-                f32_or_per_vmac(geom, ctx, &xq, &fw.wmat, fw.density, sim.as_ref(), false)
-            }
-            GemmPath::LiveI8 => {
-                let qi = self
-                    .quantizer
-                    .quantize_weights_i8_in(ws, &self.weight.value);
-                (geom.forward_i8(ctx, &xq, &qi), None)
-            }
-            GemmPath::LiveF32 => {
-                let qw = self.quantizer.quantize_weights_in(ws, &self.weight.value);
-                let wmat = self
-                    .realize(ws, qw.values, &noise_ctx)
-                    .reshape(&self.wmat_dims())
-                    .expect("weight matrix shape");
-                let out = f32_or_per_vmac(geom, ctx, &xq, &wmat, qw.density, sim.as_ref(), train);
-                ws.recycle(wmat);
-                if train {
-                    self.ste_scale = Some(qw.ste_scale);
-                } else {
-                    ws.recycle(qw.ste_scale);
-                }
-                out
-            }
+        let (mut y, new_cache) = if train {
+            let qw = self.quantizer.quantize_weights_in(ws, &self.weight.value);
+            let wmat = self
+                .realize(ws, qw.values, &noise_ctx)
+                .reshape(&self.wmat_dims())
+                .expect("weight matrix shape");
+            let out = geom.forward_f32(ctx, &xq, &wmat, qw.density, true);
+            ws.recycle(wmat);
+            self.ste_scale = Some(qw.ste_scale);
+            out
+        } else {
+            (self.forward_eval(geom, ctx, &xq, sim.as_ref()), None)
         };
         ws.recycle(xq);
         if injecting && sim.is_none() {
@@ -555,23 +533,6 @@ impl AnalogGemm {
             // The [0,1]→[-1,1] affine contributes a factor of 2.
             InputKind::SignedRescaled => dxq.map(|g| 2.0 * g),
         }
-    }
-}
-
-/// The f32 GEMM, or the per-VMAC simulation when the error model asks for
-/// it (no backward cache then: the simulation is eval-only).
-fn f32_or_per_vmac<G: GemmGeometry>(
-    geom: &G,
-    ctx: &ExecCtx,
-    xq: &Tensor,
-    wmat: &Tensor,
-    density: Density,
-    sim: Option<&VmacSimulator>,
-    want_cache: bool,
-) -> (Tensor, Option<G::Cache>) {
-    match sim {
-        Some(sim) => (geom.forward_per_vmac(ctx, xq, wmat, sim), None),
-        None => geom.forward_f32(ctx, xq, wmat, density, want_cache),
     }
 }
 

@@ -1,18 +1,20 @@
-//! Read-only split of the quantized layer weights for serving.
+//! Frozen eval weights: what programmed hardware serves inferences from.
 //!
-//! Every analog layer's forward re-quantizes its shadow FP32 weights
-//! — correct for training (the shadows move every step) but pure per-call
-//! overhead for a serving replica whose weights never change. This module
-//! splits that state: [`FrozenLayerWeights`] holds one layer's quantized
-//! eval-ready weights (the f32 weight matrix plus, when the widths allow,
-//! the pre-coded i8 form), and [`SharedModelWeights`] collects the whole
-//! network's layers behind `Arc`s, in the order
-//! [`crate::AmsModel::for_each_analog_layer`] visits them (convolutions,
-//! then the classifier), so N worker replicas share one copy.
+//! An analog layer's eval weights are one pure function of its shadow
+//! FP32 weights and the inference time `t`: the quantized weights with the
+//! error model's weight realization folded in (mismatch, programming
+//! noise, drift at `t`). [`FrozenLayerWeights`] is that function's cached
+//! value for one layer (the f32 weight matrix plus, when the widths allow,
+//! the pre-coded i8 form). Every eval forward reads it: the first builds
+//! it, and the layer drops it on any mutable access to the shadow weight
+//! (optimizer step, checkpoint load, gradient zeroing) and on any bitwise
+//! change of `t`. Training never reads it — the shadows move every step.
 //!
-//! Because the quantizers are deterministic, a frozen forward is
-//! bit-identical to the per-forward quantization it replaces; the layer
-//! tests pin that equivalence on both the f32 and i8 kernels.
+//! [`SharedModelWeights`] collects the whole network's layers behind
+//! `Arc`s, in the order [`crate::AmsModel::for_each_analog_layer`] visits
+//! them (convolutions, then the classifier), so N serving replicas that
+//! hold the same checkpoint share one copy. A replica that drops an
+//! adopted copy rebuilds it bit-identically from the same shadow weights.
 
 use std::sync::Arc;
 
@@ -21,11 +23,12 @@ use ams_tensor::{Density, Tensor};
 
 /// One layer's immutable eval-ready weights.
 ///
-/// `wmat` is the quantized (and, under a mismatch overlay, realized) f32
-/// weight matrix in the kernels' layout: `[c_out, c_in·k²]` for a
+/// `wmat` is the quantized and realized (mismatch, programming noise,
+/// drift at the layer's inference time) f32 weight matrix in the kernels' layout: `[c_out, c_in·k²]` for a
 /// convolution, `[out_features, in_features]` for a linear layer. `i8` is
 /// the pre-coded integer form when both operand widths fit 8 bits and no
-/// f32 perturbation applies (the same gate the live i8 dispatch uses).
+/// f32 perturbation applies; it is built whatever kernel the freezing
+/// context dispatches to, so the cache never depends on its history.
 #[derive(Debug)]
 pub struct FrozenLayerWeights {
     /// Quantized f32 weight matrix, kernel layout.
@@ -53,6 +56,7 @@ mod tests {
     use crate::lenet::LeNet5Config;
     use crate::resnet::ResNetMiniConfig;
     use crate::spec::{AmsModel, ModelSpec};
+    use ams_core::error_model::{ErrorModelConfig, DRIFT_T0};
     use ams_core::vmac::Vmac;
     use ams_nn::Mode;
     use ams_quant::QuantConfig;
@@ -68,6 +72,11 @@ mod tests {
             ModelSpec::ResNetMini(ResNetMiniConfig::tiny()),
             ModelSpec::LeNet5(LeNet5Config::tiny()),
         ]
+    }
+
+    /// PCM storage with conductance drift (weight-domain error only).
+    fn drift_hw() -> HardwareConfig {
+        ams_hw().with_error_model(ErrorModelConfig::drifting_pcm(0.06))
     }
 
     fn build(spec: &ModelSpec) -> Box<dyn AmsModel> {
@@ -159,6 +168,45 @@ mod tests {
                         y.data(),
                         &batched.data()[i * classes..(i + 1) * classes],
                         "{:?}, request {i}, kernel {:?}",
+                        spec.kind(),
+                        ctx.kernel()
+                    );
+                }
+            }
+        }
+        // Under drift, at a time other than programming: a replica that
+        // adopts weights frozen at `t` serves what the offline unfrozen
+        // eval at `t` computes.
+        let t = 3600.0;
+        assert_ne!(t, DRIFT_T0);
+        for spec in zoo() {
+            let x = images(&spec, seeds.len(), 8);
+            let per_image = x.len() / seeds.len();
+            for ctx in kernels() {
+                let mut freezer = spec.build(&drift_hw());
+                freezer.set_inference_time(t);
+                let shared = freezer.freeze_shared_weights(&ctx);
+                let mut replica = spec.build(&drift_hw());
+                replica.set_inference_time(t);
+                replica.adopt_shared_weights(&shared);
+                replica.set_request_noise_seeds(Some(Arc::new(seeds.clone())));
+                let batched = replica.forward(&ctx, &x, Mode::Eval);
+                let classes = batched.dims()[1];
+
+                let mut offline = spec.build(&drift_hw());
+                offline.set_inference_time(t);
+                for (i, &seed) in seeds.iter().enumerate() {
+                    let one = Tensor::from_vec(
+                        &[1, x.dims()[1], x.dims()[2], x.dims()[3]],
+                        x.data()[i * per_image..(i + 1) * per_image].to_vec(),
+                    )
+                    .expect("one image");
+                    offline.reseed_noise(seed);
+                    let y = offline.forward(&ctx, &one, Mode::Eval);
+                    assert_eq!(
+                        y.data(),
+                        &batched.data()[i * classes..(i + 1) * classes],
+                        "drift at t = {t}: {:?}, request {i}, kernel {:?}",
                         spec.kind(),
                         ctx.kernel()
                     );

@@ -15,9 +15,10 @@ use crate::config::{HardwareConfig, InputKind};
 /// A convolution implementing the paper's quantized layer (Fig. 3): an
 /// [`AnalogGemm`] over the im2col-lowered input. Input activations are
 /// quantized to `B_X` bits, shadow FP32 weights DoReFa-quantized to `B_W`
-/// bits each forward pass, and the AMS error of Eq. 2 added to the output
-/// — forward pass only, backward untouched. The core's setters and getters
-/// are reached through `Deref`.
+/// bits (every training forward; eval reads the frozen eval weights), and
+/// the AMS error of Eq. 2 added to the output — forward pass only,
+/// backward untouched. The core's setters and getters are reached through
+/// `Deref`.
 ///
 /// With [`HardwareConfig::fp32`] the layer degenerates to an exact plain
 /// convolution, so the same type serves the FP32 baseline and both

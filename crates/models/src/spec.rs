@@ -154,8 +154,9 @@ pub trait AmsModel: Layer {
     }
 
     /// Sets the simulated inference time (seconds since programming) on
-    /// every layer's noise context. Only time-dependent error models
-    /// (conductance drift) read it; everything else ignores it.
+    /// every layer's noise context. Only conductance drift reads it; a
+    /// bitwise change drops every layer's frozen eval weights, which the
+    /// next eval forward rebuilds at the new time.
     fn set_inference_time(&mut self, t: f64) {
         self.for_each_analog_layer(&mut |g| g.set_inference_time(t));
     }
@@ -262,11 +263,13 @@ pub trait AmsModel: Layer {
         out
     }
 
-    /// Quantizes every layer's shadow weights once into immutable
-    /// eval-ready form, installs them on this network, and returns the
-    /// bundle so worker replicas can [`AmsModel::adopt_shared_weights`].
-    /// Eval forwards then skip per-call weight quantization and are
-    /// bit-identical to the unfrozen path (deterministic quantizers).
+    /// Builds every layer's frozen eval weights now (the first eval
+    /// forward would do so anyway), and returns the bundle so worker
+    /// replicas can [`AmsModel::adopt_shared_weights`] one copy. Each
+    /// layer's frozen weights are a cache of its shadow weights and
+    /// inference time: a weight mutation (optimizer step, checkpoint
+    /// load) or a new `t` drops it, on this network and on a replica
+    /// alike, and the next eval forward rebuilds it bit-identically.
     fn freeze_shared_weights(&mut self, ctx: &ExecCtx) -> SharedModelWeights {
         let mut layers = Vec::new();
         self.for_each_analog_layer(&mut |g| layers.push(g.freeze_eval_weights(ctx)));

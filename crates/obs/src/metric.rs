@@ -104,6 +104,15 @@ impl Gauge {
             .push(x);
     }
 
+    /// Replaces the summary with the single observation `x`: the gauge
+    /// then holds a level (a live count, say) that its mean, min and max
+    /// all read.
+    pub fn set(&self, x: f64) {
+        let mut state = self.state.lock().expect("gauge lock never poisoned");
+        *state = WelfordState::new();
+        state.push(x);
+    }
+
     /// Merges a pre-accumulated shard (e.g. the per-batch summary a layer
     /// computed locally) in one lock acquisition.
     pub fn merge(&self, shard: &WelfordState) {
@@ -222,6 +231,16 @@ mod tests {
         assert_eq!(t.total_nanos(), 400);
         assert!((t.mean_nanos() - 200.0).abs() < 1e-9);
         assert_eq!(Timer::new().mean_nanos(), 0.0);
+    }
+
+    #[test]
+    fn gauge_set_replaces_earlier_observations() {
+        let g = Gauge::new();
+        g.observe(1.0);
+        g.observe(3.0);
+        g.set(2.0);
+        let s = g.snapshot();
+        assert_eq!((s.count, s.mean, s.min, s.max), (1, 2.0, 2.0, 2.0));
     }
 
     #[test]

@@ -202,6 +202,13 @@ impl MetricsSink {
         }
     }
 
+    /// Sets gauge `name` to the level `x`, dropping earlier observations.
+    pub fn set_gauge(&self, name: &str, x: f64) {
+        if let Some(r) = &self.registry {
+            r.gauge(name).set(x);
+        }
+    }
+
     /// Merges a locally accumulated shard into gauge `name`.
     pub fn merge_observations(&self, name: &str, shard: &WelfordState) {
         if let Some(r) = &self.registry {

@@ -53,7 +53,8 @@ impl ScenarioConfig {
     }
 
     /// Trains (or loads from cache) the scenario's AMS-retrained w8a8
-    /// checkpoint and freezes its quantized weights for replica sharing.
+    /// checkpoint and freezes its eval weights at the configured inference
+    /// time for replica sharing.
     pub fn load(&self) -> LoadedScenario {
         let enob = self.enob.unwrap_or(self.scale.table2_enob);
         let exp = Experiments::new(self.scale.clone(), &self.results)
@@ -72,6 +73,7 @@ impl ScenarioConfig {
         let mut freezer = spec.build(&hw);
         ckpt.load_into(&mut *freezer)
             .expect("checkpoint matches the architecture it trained");
+        freezer.set_inference_time(self.at_time);
         let shared = freezer.freeze_shared_weights(&freeze_ctx);
 
         let synth = &self.scale.synth;
@@ -103,7 +105,8 @@ pub struct LoadedScenario {
     /// The trained weights (the same data the frozen bundle was cut
     /// from) — lets offline comparators rebuild an unfrozen twin.
     pub checkpoint: ams_nn::Checkpoint,
-    /// The frozen quantized weights every replica adopts (`Arc`-shared).
+    /// The frozen eval weights every replica adopts (`Arc`-shared),
+    /// realized at `at_time`.
     pub shared: Arc<SharedModelWeights>,
     /// The eval matmul dispatch for worker contexts.
     pub kernel: KernelDispatch,
@@ -125,23 +128,25 @@ impl LoadedScenario {
 
     /// Builds one worker replica sharing the frozen weights.
     ///
-    /// The frozen bundle carries only the quantized weight matrices; the
+    /// The frozen bundle carries only the analog weight matrices; the
     /// digital biases and any normalization state live in the checkpoint,
-    /// so each replica loads it first and then swaps in the shared
-    /// quantized weights.
+    /// so each replica loads it and moves to `at_time` first (both drop
+    /// the eval weights), then adopts the shared ones. A request at
+    /// another time drops them again, and the replica refolds its own.
     pub fn build_replica(&self) -> Box<dyn AmsModel> {
         let mut net = self.spec.build(&self.hw);
         self.checkpoint
             .load_into(&mut *net)
             .expect("checkpoint matches the architecture it trained");
+        net.set_inference_time(self.at_time);
         net.adopt_shared_weights(&self.shared);
         net
     }
 
-    /// Builds a replica *without* the frozen-weight split: every forward
-    /// re-quantizes its shadow weights. Bitwise identical output to
-    /// [`LoadedScenario::build_replica`], so it serves as the offline
-    /// comparator for the daemon's replies.
+    /// Builds a replica that does not adopt the shared frozen weights: it
+    /// folds its own on its first eval forward, from the same checkpoint.
+    /// Bitwise identical output to [`LoadedScenario::build_replica`], so
+    /// it serves as the offline comparator for the daemon's replies.
     pub fn build_unfrozen_replica(&self) -> Box<dyn AmsModel> {
         let mut net = self.spec.build(&self.hw);
         self.checkpoint

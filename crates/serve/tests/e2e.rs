@@ -1,9 +1,11 @@
 //! End-to-end smoke of the serving daemon at the `test` scale: concurrent
 //! clients, bitwise identity against offline evaluation, `/metrics`
-//! consistency, and graceful queue-draining shutdown.
+//! consistency, reaping of ended connections, and graceful
+//! queue-draining shutdown.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use ams_exp::Scale;
 use ams_nn::Mode;
@@ -168,10 +170,33 @@ fn daemon_matches_offline_eval_and_drains_on_shutdown() {
         at.logits, plain.logits,
         "lumped noise is time-invariant, so pinning a time must not change logits"
     );
+    let metrics = http_get(metrics_addr, "/metrics");
+    assert!(
+        prom_value(&metrics, "serve_connections_open_mean") >= 1.0,
+        "the timed client's connection is open"
+    );
     drop(timed);
     let metrics = http_get(metrics_addr, "/metrics");
     assert_eq!(prom_value(&metrics, "serve_drift_t_infer_max"), 86_400.0);
     assert_eq!(prom_value(&metrics, "serve_drift_t_infer_min"), 1.0);
+
+    // Every client has hung up: the accept loop reaps each ended
+    // connection's thread, and the open-connection gauge returns to 0.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let open = prom_value(
+            &http_get(metrics_addr, "/metrics"),
+            "serve_connections_open_mean",
+        );
+        if open == 0.0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{open} connections still open after every client disconnected"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     // Graceful shutdown drains the queue: pipeline a burst of classify
     // frames immediately followed by the shutdown frame, without reading
