@@ -31,20 +31,24 @@ use crate::frozen::FrozenLayerWeights;
 
 /// What a layer's shape contributes to an [`AnalogGemm`] forward: how the
 /// quantized input meets the `[rows, N_tot]` weight matrix on each kernel,
-/// and what the f32 path keeps for the backward pass.
+/// and what the training forward keeps for the backward pass.
 pub(crate) trait GemmGeometry {
-    /// The backward cache of a train-mode f32 forward.
+    /// The backward cache of a train-mode forward.
     type Cache;
 
-    /// The f32 forward, with its backward cache when `want_cache` is set.
-    fn forward_f32(
+    /// The eval forward on the f32 GEMM.
+    fn forward_f32(&self, ctx: &ExecCtx, xq: &Tensor, wmat: &Tensor, density: Density) -> Tensor;
+
+    /// The train forward on the f32 GEMM: the same product as
+    /// [`GemmGeometry::forward_f32`], with the quantized input and weights
+    /// moved into the backward cache.
+    fn forward_train(
         &self,
         ctx: &ExecCtx,
-        xq: &Tensor,
-        wmat: &Tensor,
+        xq: Tensor,
+        wmat: Tensor,
         density: Density,
-        want_cache: bool,
-    ) -> (Tensor, Option<Self::Cache>);
+    ) -> (Tensor, Self::Cache);
 
     /// The eval forward on the packed integer GEMM.
     fn forward_i8(&self, ctx: &ExecCtx, xq: &Tensor, w: &QuantizedI8) -> Tensor;
@@ -366,7 +370,7 @@ impl AnalogGemm {
                 forward_i8_per_image(geom, ctx, xq, qi)
             }
             (None, Some(qi)) => geom.forward_i8(ctx, xq, qi),
-            (None, None) => geom.forward_f32(ctx, xq, &fw.wmat, fw.density, false).0,
+            (None, None) => geom.forward_f32(ctx, xq, &fw.wmat, fw.density),
         }
     }
 
@@ -419,14 +423,14 @@ impl AnalogGemm {
                 .realize(ws, qw.values, &noise_ctx)
                 .reshape(&self.wmat_dims())
                 .expect("weight matrix shape");
-            let out = geom.forward_f32(ctx, &xq, &wmat, qw.density, true);
-            ws.recycle(wmat);
             self.ste_scale = Some(qw.ste_scale);
-            out
+            let (y, cache) = geom.forward_train(ctx, xq, wmat, qw.density);
+            (y, Some(cache))
         } else {
-            (self.forward_eval(geom, ctx, &xq, sim.as_ref()), None)
+            let y = self.forward_eval(geom, ctx, &xq, sim.as_ref());
+            ws.recycle(xq);
+            (y, None)
         };
-        ws.recycle(xq);
         if injecting && sim.is_none() {
             self.inject(ctx, &noise_ctx, &mut y, train);
         }

@@ -115,26 +115,27 @@ impl DerefMut for QConv2d {
 impl GemmGeometry for ConvShape {
     type Cache = ConvCache;
 
-    fn forward_f32(
+    fn forward_f32(&self, ctx: &ExecCtx, xq: &Tensor, wmat: &Tensor, density: Density) -> Tensor {
+        let (k, stride, pad) = (self.k, self.stride, self.pad);
+        conv2d_forward(ctx, xq, wmat, density, None, k, k, stride, pad, false).0
+    }
+
+    fn forward_train(
         &self,
         ctx: &ExecCtx,
-        xq: &Tensor,
-        wmat: &Tensor,
+        xq: Tensor,
+        wmat: Tensor,
         density: Density,
-        want_cache: bool,
-    ) -> (Tensor, Option<ConvCache>) {
-        conv2d_forward(
-            ctx,
-            xq,
-            wmat,
-            density,
-            None,
-            self.k,
-            self.k,
-            self.stride,
-            self.pad,
-            want_cache,
-        )
+    ) -> (Tensor, ConvCache) {
+        let y = self.forward_f32(ctx, &xq, &wmat, density);
+        let (n, c_in, h, w) = xq.dims4();
+        let geom = ConvGeom::new(n, c_in, h, w, self.k, self.k, self.stride, self.pad);
+        let cache = ConvCache {
+            input: xq,
+            geom,
+            weight_mat: wmat,
+        };
+        (y, cache)
     }
 
     fn forward_i8(&self, ctx: &ExecCtx, xq: &Tensor, w: &QuantizedI8) -> Tensor {
@@ -211,7 +212,7 @@ impl GemmGeometry for ConvShape {
     }
 
     fn retire(ws: &Workspace, cache: ConvCache) {
-        ws.recycle(cache.cols);
+        ws.recycle(cache.input);
         ws.recycle(cache.weight_mat);
     }
 }

@@ -102,15 +102,23 @@ impl DerefMut for QLinear {
 impl GemmGeometry for Dense<'_> {
     type Cache = LinearCache;
 
-    fn forward_f32(
+    fn forward_f32(&self, ctx: &ExecCtx, xq: &Tensor, wmat: &Tensor, _density: Density) -> Tensor {
+        linear_forward(ctx, xq, wmat, Some(self.bias), false).0
+    }
+
+    fn forward_train(
         &self,
         ctx: &ExecCtx,
-        xq: &Tensor,
-        wmat: &Tensor,
-        _density: Density,
-        want_cache: bool,
-    ) -> (Tensor, Option<LinearCache>) {
-        linear_forward(ctx, xq, wmat, Some(self.bias), want_cache)
+        xq: Tensor,
+        wmat: Tensor,
+        density: Density,
+    ) -> (Tensor, LinearCache) {
+        let y = self.forward_f32(ctx, &xq, &wmat, density);
+        let cache = LinearCache {
+            input: xq,
+            weight: wmat,
+        };
+        (y, cache)
     }
 
     fn forward_i8(&self, ctx: &ExecCtx, xq: &Tensor, w: &QuantizedI8) -> Tensor {

@@ -2,11 +2,12 @@
 //! global allocator (this binary holds one test, so nothing else runs
 //! while it measures).
 //!
-//! Once the workspace is warm, the only per-forward heap allocation that
-//! scales with the layer is the weight codes `QuantizedI8::codes`
-//! (`C_out·C_in·K²` bytes, re-coded every live forward); the coded input,
-//! its lowered rhs panel, the weight panel and every f32 tensor cycle
-//! through the pool. Nothing scales with the activations.
+//! Eval forwards read the frozen eval weights, coded to i8 once on first
+//! use, so once the workspace is warm no per-forward heap allocation
+//! scales with the layer: the coded input, its lowered rhs panel, the
+//! weight panel and every f32 tensor cycle through the pool, and the
+//! weight codes are never re-coded. Nothing scales with the weights or
+//! the activations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -59,8 +60,10 @@ static ALLOCATOR: Counting = Counting;
 const SMALL_CONSTANT: u64 = 4096;
 
 #[test]
-fn warm_i8_conv_forward_allocates_only_weight_codes() {
-    let (c_in, c_out, k) = (16, 16, 3);
+fn warm_i8_conv_forward_allocates_nothing_that_scales() {
+    // Wide enough that the weight codes (32·32·9 = 9216 B) exceed the
+    // bound on their own.
+    let (c_in, c_out, k) = (32, 32, 3);
     let ctx = ExecCtx::serial().with_kernel(KernelDispatch::I8);
     let ws = ctx.workspace();
     let mut r = rng::seeded(0);
@@ -79,11 +82,12 @@ fn warm_i8_conv_forward_allocates_only_weight_codes() {
         let y = qc.forward(&ctx, &x, Mode::Eval);
         let bytes = BYTES.load(Relaxed) - before;
         ws.recycle(y);
-        // The lowered panel alone is 8·16·16 pixels × 144 taps × 2 bytes
-        // ≈ 590 KB; the bound is two orders of magnitude below it.
+        // The lowered panel alone is 8·16·16 pixels × 288 taps × 2 bytes
+        // ≈ 1.2 MB; the bound leaves room for neither it nor re-coded
+        // weights.
         assert!(
-            bytes < weight_codes + SMALL_CONSTANT,
-            "warm forward {i} allocated {bytes} B, weight codes are {weight_codes} B"
+            bytes < SMALL_CONSTANT,
+            "warm forward {i} allocated {bytes} B (weight codes are {weight_codes} B)"
         );
     }
 }

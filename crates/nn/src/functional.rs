@@ -9,16 +9,19 @@
 //! them to the shadow full-precision parameter.
 
 use ams_tensor::{
-    code_im2row_i16_in, code_rows_i16_in, col2im_in, im2col_in, mat_to_nchw_in, matmul_a_bt_in,
-    matmul_at_b_in, matmul_hinted_in, matmul_i8_panels_in, matmul_in, nchw_to_mat_in,
-    pack_rows_i16, ConvGeom, Density, ExecCtx, Im2colPanel, PackedLhs, Tensor, Workspace,
+    code_im2row_i16_in, code_rows_i16_in, conv_input_grad_in, conv_weight_grad_in, mat_to_nchw_in,
+    matmul_a_bt_in, matmul_at_b_in, matmul_i8_panels_in, matmul_in, pack_rows_i16, ConvGeom,
+    Density, ExecCtx, Im2colPanel, PackedLhs, Tensor, Workspace,
 };
 
-/// Cache produced by [`conv2d_forward`], consumed by [`conv2d_backward`].
+/// Cache produced by [`conv2d_forward`], consumed by [`conv2d_backward`]:
+/// the forward's input and weights, from which the backward re-lowers one
+/// image at a time. A caller that owns both tensors (the quantized layers
+/// own their quantized input and weights) can build it by moving them in.
 #[derive(Debug, Clone)]
 pub struct ConvCache {
-    /// The im2col-lowered input, `(C_in·K·K, N·OH·OW)`.
-    pub cols: Tensor,
+    /// The input the forward convolved, `(N, C_in, H, W)`.
+    pub input: Tensor,
     /// Geometry of the convolution.
     pub geom: ConvGeom,
     /// The weight matrix actually used in the forward pass,
@@ -36,19 +39,18 @@ pub struct ConvCache {
 /// channel. Returns the `(N, C_out, OH, OW)` output and, when
 /// `want_cache` is set, the cache for the backward pass.
 ///
-/// With `want_cache` set (training) the input is lowered to the batch's
-/// im2col column matrix, which the cache keeps for the backward pass,
-/// multiplied by the weights and transposed to NCHW. Without it (eval)
-/// no column matrix is built: the weights are packed into GEMM bands
+/// No column matrix is built: the weights are packed into GEMM bands
 /// once, and each image is lowered straight into the GEMM's rhs panel
 /// ([`Im2colPanel`]) and multiplied into its own `(C_out, OH·OW)` block
 /// of the output, which already is that image's NCHW slice. Images are
-/// split across the context's workers. Both paths compute every output
-/// element as the same ascending-k chain plus bias, so they agree bit
-/// for bit with each other and across thread counts.
+/// split across the context's workers. Every output element is one
+/// ascending-k chain plus bias, the one the batch product
+/// `W · im2col(input)` computes, so the result is the same bit for bit
+/// at any thread count. With `want_cache` set (training) the cache keeps
+/// pooled copies of `input` and `weight_mat`, not the column matrix.
 ///
 /// All intermediates (and the output) are drawn from the context's
-/// workspace and recycled back into it, so steady-state eval forwards
+/// workspace and recycled back into it, so steady-state forwards
 /// allocate nothing.
 ///
 /// # Panics
@@ -86,26 +88,14 @@ pub fn conv2d_forward(
     if let Some(b) = bias {
         assert_eq!(b.len(), c_out, "conv2d_forward: bias length != C_out");
     }
-    if !want_cache {
-        return (
-            conv2d_eval(ctx, input, weight_mat, weight_density, bias, &geom),
-            None,
-        );
-    }
     let ws = ctx.workspace();
-    let cols = im2col_in(ctx, input, &geom);
-    let mut ymat = matmul_hinted_in(ctx, weight_mat, &cols, weight_density);
-    if let Some(b) = bias {
-        add_bias(ymat.data_mut(), b, geom.cols());
-    }
-    let y = mat_to_nchw_in(ctx, &ymat, &geom, c_out);
-    ws.recycle(ymat);
-    let cache = ConvCache {
-        cols,
+    let y = conv2d_per_image(ctx, input, weight_mat, weight_density, bias, &geom);
+    let cache = want_cache.then(|| ConvCache {
+        input: ws.clone_tensor(input),
         geom,
         weight_mat: ws.clone_tensor(weight_mat),
-    };
-    (y, Some(cache))
+    });
+    (y, cache)
 }
 
 /// Adds `bias[c]` to the `c`-th `len`-element run of `out`.
@@ -120,10 +110,10 @@ fn add_bias(out: &mut [f32], bias: &[f32], len: usize) {
     }
 }
 
-/// The eval half of [`conv2d_forward`]: weights packed once, then one
+/// The body of [`conv2d_forward`]: weights packed once, then one
 /// [`for_each_span`](ExecCtx::for_each_span) over images, each worker
 /// lowering and multiplying the images it owns.
-fn conv2d_eval(
+fn conv2d_per_image(
     ctx: &ExecCtx,
     input: &Tensor,
     weight_mat: &Tensor,
@@ -144,16 +134,16 @@ fn conv2d_eval(
         y.data_mut(),
         out_len,
         out_len * geom.rows(),
-        |first, span| eval_images(ws, &lhs, geom, bias, src, first, span),
+        |first, span| forward_images(ws, &lhs, geom, bias, src, first, span),
     );
     lhs.recycle(ws);
     y
 }
 
-/// One worker's images of [`conv2d_eval`]: `out` holds the NCHW outputs
+/// One worker's images of [`conv2d_per_image`]: `out` holds the NCHW outputs
 /// of images `first..`, each lowered into the worker's own pooled panel
 /// and multiplied straight into its output block.
-fn eval_images(
+fn forward_images(
     ws: &Workspace,
     lhs: &PackedLhs,
     geom: &ConvGeom,
@@ -250,6 +240,15 @@ pub fn conv2d_forward_i8(
 /// weight-matrix shape `(C_out, C_in·K·K)` and `d_bias` is per output
 /// channel.
 ///
+/// Works one image at a time on the cached input, never on the batch's
+/// column matrix: [`conv_input_grad_in`] scatters each image's `Wᵀ·dY`
+/// through col2im, [`conv_weight_grad_in`] lowers each image into the
+/// weight-gradient GEMM and continues every element's chain across the
+/// images in order, and the bias gradient sums each channel over the
+/// images in order. Each result equals, bit for bit and at any thread
+/// count, the batch form `col2im(Wᵀ·dY)`, `dY·im2col(x)ᵀ` and the
+/// per-channel `Iterator::sum` over `dY` as a `(C_out, N·OH·OW)` matrix.
+///
 /// # Panics
 ///
 /// Panics if `grad_output` disagrees with the cached geometry.
@@ -258,19 +257,19 @@ pub fn conv2d_backward(
     cache: &ConvCache,
     grad_output: &Tensor,
 ) -> (Tensor, Tensor, Vec<f32>) {
-    let ws = ctx.workspace();
-    let dymat = nchw_to_mat_in(ctx, grad_output, &cache.geom);
-    let dweight = matmul_a_bt_in(ctx, &dymat, &cache.cols);
-    let dcols = matmul_at_b_in(ctx, &cache.weight_mat, &dymat);
-    let dinput = col2im_in(ctx, &dcols, &cache.geom);
-    ws.recycle(dcols);
-    let ncols = cache.geom.cols();
-    let c_out = dymat.dims()[0];
-    let mut dbias = vec![0.0f32; c_out];
-    for (co, db) in dbias.iter_mut().enumerate() {
-        *db = dymat.data()[co * ncols..(co + 1) * ncols].iter().sum();
-    }
-    ws.recycle(dymat);
+    let geom = &cache.geom;
+    let dinput = conv_input_grad_in(ctx, &cache.weight_mat, grad_output, geom);
+    let dweight = conv_weight_grad_in(ctx, &cache.input, grad_output, geom);
+    let c_out = dweight.dims()[0];
+    let plane = geom.oh * geom.ow;
+    let dy = grad_output.data();
+    let dbias = (0..c_out)
+        .map(|co| {
+            (0..geom.n)
+                .flat_map(|i| &dy[(i * c_out + co) * plane..(i * c_out + co + 1) * plane])
+                .sum()
+        })
+        .collect();
     (dinput, dweight, dbias)
 }
 

@@ -1,14 +1,16 @@
-//! The eval convolution (`want_cache == false`) lowers one image at a time
-//! straight into the f32 GEMM's rhs panel and multiplies into the NCHW
-//! output. It must equal the training path (batch im2col, `matmul`,
-//! NCHW transpose) bit for bit, at any thread count, on every kernel the
-//! weight density picks; and its lowering must equal
+//! The convolution forward lowers one image at a time straight into the
+//! f32 GEMM's rhs panel and multiplies into the NCHW output, with and
+//! without a training cache. Both must equal the batch im2col path
+//! (`im2col`, `matmul_hinted_in`, bias, NCHW transpose — written out here
+//! as the oracle) bit for bit, at any thread count, on every kernel the
+//! weight density picks; and the lowering must equal
 //! `pack_rhs_in(im2col(image))` bit for bit. Comparisons go through
 //! `f32::to_bits`, so a `-0.0` that turns into `0.0` fails.
 
 use ams_nn::functional::conv2d_forward;
 use ams_tensor::{
-    im2col, pack_rhs_in, rng, ConvGeom, Density, ExecCtx, Im2colPanel, Parallelism, Tensor,
+    im2col, mat_to_nchw, matmul_hinted_in, pack_rhs_in, rng, ConvGeom, Density, ExecCtx,
+    Im2colPanel, Parallelism, Tensor,
 };
 use proptest::prelude::*;
 
@@ -64,15 +66,37 @@ fn weights(kind: Weights, c_out: usize, kdim: usize, seed: u64) -> Tensor {
 
 /// `x` with one `+∞` activation. `0·∞` is NaN, so the zero-skipping and
 /// the dense microkernel then disagree bitwise wherever a zero weight
-/// meets it: the eval path must pick the kernel the training path picks.
+/// meets it: the per-image path must pick the kernel the batch path picks.
 fn with_inf(mut x: Tensor, seed: u64) -> Tensor {
     let at = seed as usize % x.len();
     x.data_mut()[at] = f32::INFINITY;
     x
 }
 
-/// Runs the eval conv at `threads` and checks it against the serial
-/// training-path forward, and the lowering against `pack_rhs_in(im2col)`.
+/// The batch im2col forward, serially: `W · im2col(x)` plus bias, as NCHW.
+fn batch_forward(
+    x: &Tensor,
+    w: &Tensor,
+    density: Density,
+    bias: Option<&[f32]>,
+    geom: &ConvGeom,
+) -> Tensor {
+    let cols = im2col(x, geom);
+    let mut ymat = matmul_hinted_in(&ExecCtx::serial(), w, &cols, density);
+    if let Some(b) = bias {
+        let len = geom.cols();
+        for (co, &bv) in b.iter().enumerate() {
+            for v in &mut ymat.data_mut()[co * len..(co + 1) * len] {
+                *v += bv;
+            }
+        }
+    }
+    mat_to_nchw(&ymat, geom, w.dims()[0])
+}
+
+/// Runs the eval conv at `threads` and the train conv serially, checks
+/// both against the batch forward, and the lowering against
+/// `pack_rhs_in(im2col)`.
 #[allow(clippy::too_many_arguments)]
 fn check(
     x: &Tensor,
@@ -85,21 +109,22 @@ fn check(
     threads: usize,
 ) -> Result<(), TestCaseError> {
     let serial = ExecCtx::serial();
-    let (want, cache) = conv2d_forward(&serial, x, w, density, bias, k, k, stride, pad, true);
+    let (n, c, h, wd) = x.dims4();
+    let geom = ConvGeom::new(n, c, h, wd, k, k, stride, pad);
+    let want = batch_forward(x, w, density, bias, &geom);
+    let (train, cache) = conv2d_forward(&serial, x, w, density, bias, k, k, stride, pad, true);
     prop_assert!(cache.is_some());
+    prop_assert_eq!(bits(train.data()), bits(want.data()));
     let ctx = eager(threads);
     let (got, none) = conv2d_forward(&ctx, x, w, density, bias, k, k, stride, pad, false);
     prop_assert!(none.is_none());
     prop_assert_eq!(got.dims(), want.dims());
     prop_assert_eq!(bits(got.data()), bits(want.data()));
-    let n = x.dims()[0];
     if threads > 1 && n > 1 {
         prop_assert!(ctx.parallel_dispatch_count() > 0, "images were not split");
     }
 
     // One scratch reused across the batch, as a worker reuses it.
-    let (_, c, h, wd) = x.dims4();
-    let geom = ConvGeom::new(n, c, h, wd, k, k, stride, pad);
     let one = ConvGeom::new(1, c, h, wd, k, k, stride, pad);
     let ws = serial.workspace();
     let mut lowering = Im2colPanel::take(ws, &geom);
@@ -155,7 +180,7 @@ proptest! {
 /// Fixed shapes that pin the edges the generator only samples: an
 /// `OH·OW` that is a multiple of the sliver width and one that is not
 /// (5×7), `C_out` off the band height, and products below the tiled
-/// kernel's size gate (where the training path takes the naive loop),
+/// kernel's size gate (where the batch path takes the naive loop),
 /// each with finite inputs and with an infinite activation.
 #[test]
 fn eval_conv_edges_equal_train_conv() {
@@ -189,7 +214,7 @@ fn eval_conv_edges_equal_train_conv() {
 }
 
 /// An image with no pixels and a padded kernel reads only padding: the
-/// eval path returns the bias, like the training path.
+/// per-image path returns the bias, like the batch path.
 #[test]
 fn empty_image_reads_only_padding() {
     let x = Tensor::zeros(&[2, 3, 0, 0]);

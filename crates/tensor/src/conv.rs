@@ -3,20 +3,26 @@
 //! A convolution of an `(N, C_in, H, W)` input with `(C_out, C_in, K_h, K_w)`
 //! weights lowers to the matrix product `W_mat · cols` where
 //! `W_mat: (C_out, C_in·K_h·K_w)` and `cols: (C_in·K_h·K_w, N·OH·OW)`.
-//! [`col2im`] is the exact adjoint of [`im2col`] (a scatter-add), which is
-//! what the convolution backward pass needs — a property checked by a
-//! dedicated adjointness test; training uses both. Eval forwards never
-//! build the column matrix. The f32 eval conv lowers one image at a time
-//! straight into the f32 GEMM's rhs panel ([`Im2colPanel`]). The i8 path
-//! lowers *codes*: [`code_im2row_i16_in`] codes the input once and gathers
-//! the codes straight into the integer GEMM's k-contiguous rhs panel.
-//! Both gather from a zero-bordered copy of the input, so padding taps
-//! need no bounds checks.
+//! [`col2im`] is the exact adjoint of [`im2col`] (a scatter-add) — a
+//! property checked by a dedicated adjointness test. No f32 convolution
+//! builds the batch's column matrix any more: the forward (train and eval
+//! alike) lowers one image at a time straight into the f32 GEMM's rhs
+//! panel ([`Im2colPanel`]), and the backward works one image at a time
+//! too: [`conv_input_grad_in`] scatters each image's `Wᵀ·dY` block with
+//! the per-plane col2im, and [`conv_weight_grad_in`] lowers each image
+//! into the weight-gradient GEMM's transposed panel ([`Im2colTPanel`]).
+//! The i8 path lowers *codes*: [`code_im2row_i16_in`] codes the input once
+//! and gathers the codes straight into the integer GEMM's k-contiguous
+//! rhs panel. Every lowering gathers from a zero-bordered copy of the
+//! input, so padding taps need no bounds checks. [`im2col`] itself is
+//! left to the per-VMAC simulation and to test oracles.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use crate::exec::ExecCtx;
-use crate::matmul::{rhs_panel_len, NR};
+use crate::matmul::{pack_rhs, rhs_panel_len, PackedLhs, NR};
 use crate::matmul_i8::{code, max_abs, symmetric_scale};
 use crate::tensor::Tensor;
 use crate::workspace::{I16Panel, Workspace};
@@ -351,6 +357,100 @@ fn im2col_slivers<const KW: usize>(bordered: &[f32], geom: &ConvGeom, panel: &mu
     }
 }
 
+/// Per-worker scratch of the weight-gradient GEMM `dY_img · cols_imgᵀ`,
+/// whose rhs is one image's column matrix *transposed*: the transposed
+/// counterpart of [`Im2colPanel`].
+///
+/// [`Im2colTPanel::lower`] writes, bit for bit, the rhs panel of
+/// `cols_imgᵀ` (the `(OH·OW, C·K_h·K_w)` matrix) restricted to a range of
+/// `NR`-tap slivers: sliver `s` holds, pixel-major, the `NR` taps
+/// `s·NR..` of every output pixel. Like [`Im2colPanel`] it copies the image
+/// into a zero-bordered scratch, then gathers every tap of a sliver from
+/// it, and never writes the ragged last sliver's pad lanes (they keep the
+/// zeros of the workspace take). A worker owning a range of tap slivers
+/// (columns of the weight gradient) takes one and reuses it for every
+/// image.
+#[derive(Debug)]
+pub(crate) struct Im2colTPanel {
+    geom: ConvGeom,
+    slivers: Range<usize>,
+    bordered: Vec<f32>,
+    panel: Vec<f32>,
+}
+
+impl Im2colTPanel {
+    /// Takes the scratch for tap slivers `slivers` of one image of
+    /// `geom`'s input (`geom.n` is not used) from `ws`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sliver lies past the last tap.
+    pub(crate) fn take(ws: &Workspace, geom: &ConvGeom, slivers: Range<usize>) -> Self {
+        assert!(
+            slivers.end <= geom.rows().div_ceil(NR),
+            "Im2colTPanel: slivers {slivers:?} past the last tap"
+        );
+        Im2colTPanel {
+            geom: *geom,
+            bordered: ws.take(geom.bordered_len()),
+            panel: ws.take(slivers.len() * NR * geom.oh * geom.ow),
+            slivers,
+        }
+    }
+
+    /// Lowers one `(C, H, W)` image and returns its slivers, each an
+    /// `(OH·OW, NR)` rhs operand (k = pixels) of one `NR`-column block of
+    /// the weight gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` is not `C·H·W` long.
+    pub(crate) fn lower(&mut self, image: &[f32]) -> &[f32] {
+        let g = &self.geom;
+        assert_eq!(
+            image.len(),
+            g.c_in * g.h * g.w,
+            "Im2colTPanel::lower: image length disagrees with geometry"
+        );
+        if self.panel.is_empty() {
+            return &self.panel;
+        }
+        zero_border(image, g, &mut self.bordered, |v| v);
+        let (kh, kw, stride) = (g.kh, g.kw, g.stride);
+        let pw = g.w + 2 * g.pad;
+        let plane = (g.h + 2 * g.pad) * pw;
+        let pixels = g.oh * g.ow;
+        let slivers = self.slivers.clone();
+        for (s, sliver) in slivers.zip(self.panel.chunks_exact_mut(NR * pixels)) {
+            let t0 = s * NR;
+            let width = NR.min(g.rows() - t0);
+            // Offset of each lane's tap from its pixel's top-left corner.
+            let mut at = [0usize; NR];
+            for (jr, a) in at.iter_mut().enumerate().take(width) {
+                let t = t0 + jr;
+                *a = t / (kh * kw) * plane + t / kw % kh * pw + t % kw;
+            }
+            let mut lanes = sliver.chunks_exact_mut(NR);
+            for ohi in 0..g.oh {
+                for owi in 0..g.ow {
+                    let corner = &self.bordered[ohi * stride * pw + owi * stride..];
+                    let dst = lanes.next().expect("one sliver row per pixel");
+                    for (d, &a) in dst.iter_mut().zip(&at[..width]) {
+                        *d = corner[a];
+                    }
+                }
+            }
+        }
+        &self.panel
+    }
+
+    /// Returns both buffers to the workspace.
+    pub(crate) fn recycle(self, ws: &Workspace) {
+        ws.recycle_vec(self.bordered);
+        ws.recycle_vec(self.panel);
+    }
+}
+
 /// Whether some output position's taps read input position `i` along one
 /// axis (`k` taps, `out` output positions).
 fn tap_reads(i: usize, k: usize, stride: usize, pad: usize, out: usize) -> bool {
@@ -500,33 +600,216 @@ pub fn col2im_in(ctx: &ExecCtx, cols: &Tensor, geom: &ConvGeom) -> Tensor {
         return out;
     }
     let src = cols.data();
-    let cols_n = geom.cols();
+    let (cols_n, pixels) = (geom.cols(), geom.oh * geom.ow);
+    ctx.for_each_chunk(
+        out.data_mut(),
+        plane,
+        geom.kh * geom.kw * pixels,
+        |pi, dplane| {
+            let (ni, ci) = (pi / c, pi % c);
+            col2im_plane(src, cols_n, ni * pixels, geom, ci, dplane);
+        },
+    );
+    out
+}
+
+/// Scatter-adds channel `ci`'s tap rows of a column matrix (rows `row_len`
+/// long, this image's pixels starting at column `col0`) into that
+/// channel's `(H, W)` plane `dplane`, in the order `ki`, `kj`, `ohi`, `owi`
+/// ascending: the per-plane body of [`col2im_in`], and the scatter of
+/// [`conv_input_grad_in`] on one image's `(C·K_h·K_w, OH·OW)` block.
+fn col2im_plane(
+    src: &[f32],
+    row_len: usize,
+    col0: usize,
+    geom: &ConvGeom,
+    ci: usize,
+    dplane: &mut [f32],
+) {
+    let (h, w) = (geom.h, geom.w);
     let (kh, kw, stride, pad, oh, ow) = (geom.kh, geom.kw, geom.stride, geom.pad, geom.oh, geom.ow);
-    ctx.for_each_chunk(out.data_mut(), plane, kh * kw * oh * ow, |pi, dplane| {
-        let (ni, ci) = (pi / c, pi % c);
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = (ci * kh + ki) * kw + kj;
-                let srow = &src[row * cols_n..(row + 1) * cols_n];
-                for ohi in 0..oh {
-                    let ih = (ohi * stride + ki) as isize - pad as isize;
-                    if ih < 0 || ih >= h as isize {
+    for ki in 0..kh {
+        for kj in 0..kw {
+            let row = (ci * kh + ki) * kw + kj;
+            let srow = &src[row * row_len + col0..row * row_len + col0 + oh * ow];
+            for ohi in 0..oh {
+                let ih = (ohi * stride + ki) as isize - pad as isize;
+                if ih < 0 || ih >= h as isize {
+                    continue;
+                }
+                let ih = ih as usize;
+                for owi in 0..ow {
+                    let iw = (owi * stride + kj) as isize - pad as isize;
+                    if iw < 0 || iw >= w as isize {
                         continue;
                     }
-                    let ih = ih as usize;
-                    let sbase = (ni * oh + ohi) * ow;
-                    for owi in 0..ow {
-                        let iw = (owi * stride + kj) as isize - pad as isize;
-                        if iw < 0 || iw >= w as isize {
-                            continue;
-                        }
-                        dplane[ih * w + iw as usize] += srow[sbase + owi];
-                    }
+                    dplane[ih * w + iw as usize] += srow[ohi * ow + owi];
                 }
             }
         }
+    }
+}
+
+/// Checks an `(N, C_out, OH, OW)` output gradient against `geom` and
+/// returns `C_out`.
+fn grad_channels(dy: &Tensor, geom: &ConvGeom) -> usize {
+    let (n, c_out, oh, ow) = dy.dims4();
+    assert_eq!(
+        (n, oh, ow),
+        (geom.n, geom.oh, geom.ow),
+        "conv backward: output gradient dims disagree with geometry"
+    );
+    c_out
+}
+
+/// Input gradient of a convolution, `col2im(Wᵀ · dY)`, one image at a
+/// time: `Wᵀ` is packed once (with [`crate::matmul_at_b_in`]'s zero-skip),
+/// then each image's `(C_out, OH·OW)` block of `dy` — already contiguous in
+/// NCHW — is multiplied into a pooled `(C·K_h·K_w, OH·OW)` scratch and
+/// scattered straight into that image's block of the result.
+///
+/// Each scratch column reduces over `C_out` only, and col2im works per
+/// `(image, channel)` plane in the same order, so the result equals
+/// `col2im_in(matmul_at_b_in(weight_mat, dY as a (C_out, N·OH·OW) matrix))`
+/// bit for bit, at any thread count (images are split across workers).
+///
+/// # Panics
+///
+/// Panics if `weight_mat` is not `(C_out, C·K_h·K_w)` or `dy` not
+/// `(N, C_out, OH, OW)` for `geom`.
+pub fn conv_input_grad_in(
+    ctx: &ExecCtx,
+    weight_mat: &Tensor,
+    dy: &Tensor,
+    geom: &ConvGeom,
+) -> Tensor {
+    let c_out = grad_channels(dy, geom);
+    assert_eq!(
+        weight_mat.dims(),
+        &[c_out, geom.rows()],
+        "conv_input_grad: weight matrix dims disagree with geometry"
+    );
+    let ws = ctx.workspace();
+    let mut dx = ws.take_tensor(&[geom.n, geom.c_in, geom.h, geom.w]);
+    if dx.is_empty() {
+        return dx;
+    }
+    let lhs = PackedLhs::pack_transposed_in(ws, weight_mat);
+    let image_len = geom.c_in * geom.h * geom.w;
+    let work = geom.rows() * c_out * geom.oh * geom.ow;
+    let src = dy.data();
+    ctx.for_each_span(dx.data_mut(), image_len, work, |first, span| {
+        input_grad_images(ws, &lhs, geom, c_out, src, first, span)
     });
-    out
+    lhs.recycle(ws);
+    dx
+}
+
+/// One worker's images of [`conv_input_grad_in`]: `dx` holds the input
+/// gradients of images `first..`.
+fn input_grad_images(
+    ws: &Workspace,
+    lhs: &PackedLhs,
+    geom: &ConvGeom,
+    c_out: usize,
+    dy: &[f32],
+    first: usize,
+    dx: &mut [f32],
+) {
+    let (rows, pixels, plane) = (geom.rows(), geom.oh * geom.ow, geom.h * geom.w);
+    let dy_len = c_out * pixels;
+    let mut rhs = ws.take(rhs_panel_len(c_out, pixels));
+    let mut dcols = ws.take(rows * pixels);
+    for (i, dxi) in dx.chunks_exact_mut(geom.c_in * plane).enumerate() {
+        let dyi = &dy[(first + i) * dy_len..(first + i + 1) * dy_len];
+        pack_rhs(dyi, c_out, pixels, &mut rhs);
+        lhs.gemm_into(&rhs, pixels, &mut dcols);
+        for (ci, dplane) in dxi.chunks_exact_mut(plane).enumerate() {
+            col2im_plane(&dcols, pixels, 0, geom, ci, dplane);
+        }
+    }
+    ws.recycle_vec(rhs);
+    ws.recycle_vec(dcols);
+}
+
+/// Weight gradient of a convolution, `dY · colsᵀ` as a `(C_out, C·K_h·K_w)`
+/// matrix, without the batch's column matrix: each image is lowered once
+/// into the GEMM's transposed rhs panel (`Im2colTPanel`) and its
+/// `dY_img · cols_imgᵀ` is multiplied *into* the running gradient, images
+/// in ascending order. Every element is then one ascending chain over the
+/// batch's pixels, continued from image to image, so the result equals
+/// `matmul_a_bt_in(dY as a (C_out, N·OH·OW) matrix, im2col_in(input))`
+/// bit for bit.
+///
+/// Workers split the `NR`-tap slivers (columns of the gradient); each walks
+/// every image in order over its own slivers, which it accumulates in a
+/// sliver-blocked buffer unpacked at the end. Each element is written by
+/// one worker in one order, so any thread count gives the same result.
+///
+/// # Panics
+///
+/// Panics if `input` is not `(N, C, H, W)` or `dy` not
+/// `(N, C_out, OH, OW)` for `geom`.
+pub fn conv_weight_grad_in(ctx: &ExecCtx, input: &Tensor, dy: &Tensor, geom: &ConvGeom) -> Tensor {
+    assert_eq!(
+        input.dims4(),
+        (geom.n, geom.c_in, geom.h, geom.w),
+        "conv_weight_grad: input dims disagree with geometry"
+    );
+    let c_out = grad_channels(dy, geom);
+    let ws = ctx.workspace();
+    let rows = geom.rows();
+    let mut dw = ws.take_tensor(&[c_out, rows]);
+    if dw.is_empty() {
+        return dw;
+    }
+    // Sliver s's (C_out, width) block of the gradient starts at s·C_out·NR.
+    let block = c_out * NR;
+    let mut blocks = ws.take(c_out * rows);
+    let work = geom.cols() * block;
+    let (x, dyd) = (input.data(), dy.data());
+    ctx.for_each_span(&mut blocks, block, work, |first, span| {
+        weight_grad_slivers(ws, geom, c_out, x, dyd, first, span)
+    });
+    for (s, sliver) in blocks.chunks(block).enumerate() {
+        let width = sliver.len() / c_out;
+        for (drow, srow) in dw
+            .data_mut()
+            .chunks_exact_mut(rows)
+            .zip(sliver.chunks_exact(width))
+        {
+            drow[s * NR..s * NR + width].copy_from_slice(srow);
+        }
+    }
+    ws.recycle_vec(blocks);
+    dw
+}
+
+/// One worker's tap slivers of [`conv_weight_grad_in`]: `span` holds the
+/// sliver blocks `first..`, accumulated over every image in turn.
+fn weight_grad_slivers(
+    ws: &Workspace,
+    geom: &ConvGeom,
+    c_out: usize,
+    x: &[f32],
+    dy: &[f32],
+    first: usize,
+    span: &mut [f32],
+) {
+    let pixels = geom.oh * geom.ow;
+    let (image_len, dy_len) = (geom.c_in * geom.h * geom.w, c_out * pixels);
+    let block = c_out * NR;
+    let mut lowering = Im2colTPanel::take(ws, geom, first..first + span.len().div_ceil(block));
+    let mut lhs = PackedLhs::take(ws, c_out, pixels, false);
+    for i in 0..geom.n {
+        lhs.repack(&dy[i * dy_len..(i + 1) * dy_len]);
+        let panel = lowering.lower(&x[i * image_len..(i + 1) * image_len]);
+        for (out, rhs) in span.chunks_mut(block).zip(panel.chunks_exact(NR * pixels)) {
+            lhs.gemm_acc(rhs, out.len() / c_out, out);
+        }
+    }
+    lowering.recycle(ws);
+    lhs.recycle(ws);
 }
 
 /// Reinterprets a `(C_out, N·OH·OW)` product matrix as an `(N, C_out, OH, OW)`
@@ -561,43 +844,6 @@ pub fn mat_to_nchw_in(ctx: &ExecCtx, mat: &Tensor, geom: &ConvGeom, c_out: usize
         for ni in 0..n {
             let dbase = (ni * c_out + co) * plane;
             dst[dbase..dbase + plane].copy_from_slice(&srow[ni * plane..(ni + 1) * plane]);
-        }
-    }
-    out
-}
-
-/// Inverse of [`mat_to_nchw`]: flattens an `(N, C, OH, OW)` tensor into a
-/// `(C, N·OH·OW)` matrix (used to lower output gradients).
-///
-/// # Panics
-///
-/// Panics if the tensor is not 4-D or disagrees with the geometry.
-pub fn nchw_to_mat(t: &Tensor, geom: &ConvGeom) -> Tensor {
-    nchw_to_mat_in(&ExecCtx::serial(), t, geom)
-}
-
-/// [`nchw_to_mat`] drawing the output buffer from the context's
-/// workspace (the copy itself is memory-bound and stays serial).
-///
-/// # Panics
-///
-/// Panics if the tensor is not 4-D or disagrees with the geometry.
-pub fn nchw_to_mat_in(ctx: &ExecCtx, t: &Tensor, geom: &ConvGeom) -> Tensor {
-    let (n, c, oh, ow) = t.dims4();
-    assert_eq!(
-        (n, oh, ow),
-        (geom.n, geom.oh, geom.ow),
-        "nchw_to_mat: tensor dims disagree with geometry"
-    );
-    let plane = oh * ow;
-    let mut out = ctx.workspace().take_tensor(&[c, n * plane]);
-    let src = t.data();
-    let dst = out.data_mut();
-    for ci in 0..c {
-        let drow = &mut dst[ci * n * plane..(ci + 1) * n * plane];
-        for ni in 0..n {
-            let sbase = (ni * c + ci) * plane;
-            drow[ni * plane..(ni + 1) * plane].copy_from_slice(&src[sbase..sbase + plane]);
         }
     }
     out
@@ -742,6 +988,49 @@ mod tests {
         }
     }
 
+    /// The weight-gradient lowering of every sliver range equals, bit for
+    /// bit, the rhs panel the tiled `matmul_a_bt` packs from the image's
+    /// column matrix: `pack_panels_t(im2col(image))`, restricted to the
+    /// range. One scratch is reused across the batch, as a worker reuses
+    /// it, so stale contents would show.
+    #[test]
+    fn transposed_lowering_equals_packed_im2col() {
+        use crate::matmul::pack_panels_t;
+        use crate::rng;
+        // (n, c, h, w, k, stride, pad): ragged and whole last slivers,
+        // strides 1 and 2, 1×1 to 5×5 kernels, an image of no pixels.
+        let cases = [
+            (2, 3, 8, 8, 3, 1, 1),
+            (3, 4, 5, 7, 3, 2, 1),
+            (2, 3, 6, 5, 5, 1, 2),
+            (2, 8, 4, 4, 1, 2, 0),
+            (2, 2, 0, 0, 1, 1, 1),
+        ];
+        for (i, &(n, c, h, w, k, stride, pad)) in cases.iter().enumerate() {
+            let g = ConvGeom::new(n, c, h, w, k, k, stride, pad);
+            let one = ConvGeom { n: 1, ..g };
+            let mut x = Tensor::zeros(&[n, c, h, w]);
+            rng::fill_uniform(&mut x, -1.0, 1.0, &mut rng::seeded(i as u64));
+            let (rows, pixels) = (g.rows(), g.oh * g.ow);
+            let slivers = rows.div_ceil(NR);
+            let ws = Workspace::new();
+            for range in [0..slivers, 0..1, slivers - 1..slivers] {
+                let mut lowering = Im2colTPanel::take(&ws, &g, range.clone());
+                let len = c * h * w;
+                for image in (0..n).map(|j| &x.data()[j * len..(j + 1) * len]) {
+                    let xi = Tensor::from_vec(&[1, c, h, w], image.to_vec()).unwrap();
+                    let cols = im2col(&xi, &one);
+                    let mut want = vec![0.0f32; slivers * NR * pixels];
+                    pack_panels_t(cols.data(), pixels, pixels, rows, NR, &mut want);
+                    let want = &want[range.start * NR * pixels..range.end * NR * pixels];
+                    let got: Vec<u32> = lowering.lower(image).iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "case {i}, slivers {range:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "overflows usize")]
     fn geometry_rejects_pad_overflow() {
@@ -776,14 +1065,5 @@ mod tests {
             assert_eq!(got, want, "threads = {threads}");
             assert!(ctx.parallel_dispatch_count() > 0);
         }
-    }
-
-    #[test]
-    fn mat_nchw_round_trip() {
-        let g = ConvGeom::new(2, 1, 3, 3, 1, 1, 1, 0);
-        let t = Tensor::from_vec(&[2, 4, 3, 3], (0..72).map(|i| i as f32).collect()).unwrap();
-        let mat = nchw_to_mat(&t, &g);
-        let back = mat_to_nchw(&mat, &g, 4);
-        assert_eq!(t, back);
     }
 }

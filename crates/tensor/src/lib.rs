@@ -10,7 +10,9 @@
 //! * [`matmul`], [`matmul_at_b`], [`matmul_a_bt`] — cache-blocked matrix
 //!   products (the backbone of im2col convolution and its backward pass);
 //! * [`im2col`] / [`col2im`] — lowering of NCHW convolutions to matrix
-//!   products and the adjoint scatter used for gradients;
+//!   products and its adjoint scatter; the convolution itself lowers one
+//!   image at a time ([`Im2colPanel`], [`conv_input_grad_in`],
+//!   [`conv_weight_grad_in`]);
 //! * [`rng`] — seeded random sources, a Box–Muller Gaussian, and the weight
 //!   initializers (Kaiming / Xavier) used by the network layers;
 //! * [`exec`] — the [`ExecCtx`] execution context threaded through the
@@ -57,8 +59,8 @@ mod workspace;
 pub use ams_obs as obs;
 pub use ams_obs::MetricsSink;
 pub use conv::{
-    code_im2row_i16_in, col2im, col2im_in, im2col, im2col_in, mat_to_nchw, mat_to_nchw_in,
-    nchw_to_mat, nchw_to_mat_in, ConvGeom, Im2colPanel,
+    code_im2row_i16_in, col2im, col2im_in, conv_input_grad_in, conv_weight_grad_in, im2col,
+    im2col_in, mat_to_nchw, mat_to_nchw_in, ConvGeom, Im2colPanel,
 };
 pub use exec::{noise_stream_seed, ExecCtx, KernelDispatch, Parallelism};
 pub use matmul::{

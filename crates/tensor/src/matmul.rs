@@ -167,7 +167,7 @@ fn pack_panels(
 /// Transposed variant of [`pack_panels`]: slivers are taken along the
 /// *rows* of `src` (length-`kdim` each, row stride `row_len`):
 /// `out[p][kk*panel_w + jr] = src[(p*panel_w + jr)*row_len + kk]`.
-fn pack_panels_t(
+pub(crate) fn pack_panels_t(
     src: &[f32],
     row_len: usize,
     kdim: usize,
@@ -229,7 +229,12 @@ fn microkernel_skip_zero(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
 /// One worker's share of the tiled product: all `MR`-row bands of `span`
 /// (the bands starting at global band index `band0`) against every rhs
 /// panel. The rhs panel loop is outermost so each `NR·k` panel stays
-/// cache-hot across all of the span's bands.
+/// cache-hot across all of the span's bands. With `load_c` each
+/// accumulator tile starts from the values already in `span` instead of
+/// from zero, which continues every element's ascending-k chain: a
+/// product whose reduction is split into consecutive k blocks, each
+/// multiplied in turn into the same `span`, equals the one-call product
+/// bit for bit.
 ///
 /// A free function, not a closure body, on purpose: when this code lives
 /// inside the `for_each_span` closure, the optimizer keeps the capture
@@ -238,6 +243,7 @@ fn microkernel_skip_zero(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
 /// spilling the accumulator tile — a ~6× slowdown. With plain slice
 /// parameters the microkernel keeps its `MR×NR` accumulators in
 /// registers.
+#[allow(clippy::too_many_arguments)]
 fn gemm_span(
     band0: usize,
     span: &mut [f32],
@@ -246,6 +252,7 @@ fn gemm_span(
     apack: &[f32],
     bpack: &[f32],
     skip_zero_lhs: bool,
+    load_c: bool,
 ) {
     let n_blocks = n.div_ceil(NR);
     let rows_here = span.len() / n;
@@ -258,6 +265,12 @@ fn gemm_span(
             let rows = MR.min(rows_here - bi * MR);
             let ap = &apack[(band0 + bi) * MR * kdim..(band0 + bi + 1) * MR * kdim];
             let mut acc = [[0.0f32; NR]; MR];
+            if load_c {
+                for (ir, accr) in acc.iter_mut().enumerate().take(rows) {
+                    let base = (bi * MR + ir) * n + j0;
+                    accr[..cols].copy_from_slice(&span[base..base + cols]);
+                }
+            }
             if skip_zero_lhs {
                 microkernel_skip_zero(ap, bp, &mut acc);
             } else {
@@ -286,7 +299,7 @@ fn tiled_gemm(
 ) {
     debug_assert_eq!(out.len() % n.max(1), 0);
     ctx.for_each_span(out, MR * n, MR * n * kdim, |band0, span| {
-        gemm_span(band0, span, n, kdim, apack, bpack, skip_zero_lhs);
+        gemm_span(band0, span, n, kdim, apack, bpack, skip_zero_lhs, false);
     });
 }
 
@@ -307,8 +320,14 @@ pub(crate) fn rhs_panel_len(kdim: usize, n: usize) -> usize {
 pub fn pack_rhs_in(ws: &Workspace, b: &Tensor) -> Vec<f32> {
     let (kdim, n) = dims2("pack_rhs rhs", b);
     let mut panel = ws.take(rhs_panel_len(kdim, n));
-    pack_panels(b.data(), n, kdim, n, NR, &mut panel);
+    pack_rhs(b.data(), kdim, n, &mut panel);
     panel
+}
+
+/// [`pack_rhs_in`] of a row-major `(kdim, n)` slice into a caller-owned
+/// panel of [`rhs_panel_len`]`(kdim, n)` (pad lanes left as they are).
+pub(crate) fn pack_rhs(src: &[f32], kdim: usize, n: usize, panel: &mut [f32]) {
+    pack_panels(src, n, kdim, n, NR, panel);
 }
 
 /// A GEMM lhs `(m, k)` packed once into the tiled kernel's `MR`-row
@@ -336,14 +355,44 @@ impl PackedLhs {
     /// Panics if `a` is not 2-D.
     pub fn pack_in(ws: &Workspace, a: &Tensor, density: Density) -> Self {
         let (m, kdim) = dims2("PackedLhs lhs", a);
-        let mut panel = ws.take(m.div_ceil(MR) * MR * kdim);
-        pack_panels_t(a.data(), kdim, kdim, m, MR, &mut panel);
+        let mut lhs = PackedLhs::take(ws, m, kdim, density.is_sparse(a.data()));
+        lhs.repack(a.data());
+        lhs
+    }
+
+    /// Packs `Aᵀ` for a `(k, m)` matrix `a` (`Aᵀ`'s rows are `a`'s
+    /// columns, so the bands pack straight from `a`'s layout), with the
+    /// zero-skipping microkernel [`matmul_at_b_in`] always uses: `gemm_into`
+    /// then equals `matmul_at_b_in(a, b)` bit for bit.
+    pub(crate) fn pack_transposed_in(ws: &Workspace, a: &Tensor) -> Self {
+        let (kdim, m) = dims2("PackedLhs transposed lhs", a);
+        let mut lhs = PackedLhs::take(ws, m, kdim, true);
+        pack_panels(a.data(), m, kdim, m, MR, &mut lhs.panel);
+        lhs
+    }
+
+    /// Takes the zeroed bands of an `(m, kdim)` lhs from `ws`, to be filled
+    /// by [`PackedLhs::repack`].
+    pub(crate) fn take(ws: &Workspace, m: usize, kdim: usize, skip_zero: bool) -> Self {
         PackedLhs {
-            panel,
+            panel: ws.take(m.div_ceil(MR) * MR * kdim),
             rows: m,
             kdim,
-            skip_zero: density.is_sparse(a.data()),
+            skip_zero,
         }
+    }
+
+    /// Re-packs the bands from a row-major `(m, kdim)` slice, as
+    /// [`PackedLhs::pack_in`] packs a tensor.
+    pub(crate) fn repack(&mut self, a: &[f32]) {
+        assert_eq!(
+            a.len(),
+            self.rows * self.kdim,
+            "PackedLhs::repack: lhs length disagrees with m = {} and k = {}",
+            self.rows,
+            self.kdim
+        );
+        pack_panels_t(a, self.kdim, self.kdim, self.rows, MR, &mut self.panel);
     }
 
     /// Rows `m` of the packed lhs.
@@ -359,6 +408,16 @@ impl PackedLhs {
     ///
     /// Panics if `rhs_panel` or `out` is not sized for `n` columns.
     pub fn gemm_into(&self, rhs_panel: &[f32], n: usize, out: &mut [f32]) {
+        self.gemm(rhs_panel, n, out, false);
+    }
+
+    /// [`PackedLhs::gemm_into`] that adds to `out` instead of overwriting
+    /// it, by continuing each element's chain from its value in `out`.
+    pub(crate) fn gemm_acc(&self, rhs_panel: &[f32], n: usize, out: &mut [f32]) {
+        self.gemm(rhs_panel, n, out, true);
+    }
+
+    fn gemm(&self, rhs_panel: &[f32], n: usize, out: &mut [f32], load_c: bool) {
         assert_eq!(
             rhs_panel.len(),
             rhs_panel_len(self.kdim, n),
@@ -374,7 +433,16 @@ impl PackedLhs {
         if out.is_empty() {
             return;
         }
-        gemm_span(0, out, n, self.kdim, &self.panel, rhs_panel, self.skip_zero);
+        gemm_span(
+            0,
+            out,
+            n,
+            self.kdim,
+            &self.panel,
+            rhs_panel,
+            self.skip_zero,
+            load_c,
+        );
     }
 
     /// Returns the band buffer to the workspace.
@@ -535,13 +603,10 @@ pub fn matmul_at_b_in(ctx: &ExecCtx, a: &Tensor, b: &Tensor) -> Tensor {
         });
         return c;
     }
-    // Aᵀ's rows are A's columns: slivers along m pack directly from the
-    // (k, m) layout.
-    let mut apack = ws.take(m.div_ceil(MR) * MR * ka);
-    pack_panels(ad, m, ka, m, MR, &mut apack);
+    let lhs = PackedLhs::pack_transposed_in(ws, a);
     let bpack = pack_rhs_in(ws, b);
-    tiled_gemm(ctx, n, ka, &apack, &bpack, true, c.data_mut());
-    ws.recycle_vec(apack);
+    tiled_gemm(ctx, n, ka, &lhs.panel, &bpack, true, c.data_mut());
+    lhs.recycle(ws);
     ws.recycle_vec(bpack);
     c
 }
