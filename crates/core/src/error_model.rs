@@ -427,8 +427,8 @@ pub trait ErrorModel: fmt::Debug + Send {
     /// [`ErrorModel::inject`] over a raw activation slice: identical draws
     /// in identical order, so injecting a batched tensor one per-image
     /// slice at a time (a fresh `ctx.stream` per slice) reproduces a
-    /// sequence of batch-1 `inject` calls bit-exactly. The serving path
-    /// uses this to give every coalesced request its own noise stream.
+    /// sequence of batch-1 `inject` calls bit-exactly: a batch of requests
+    /// gets one noise stream per request.
     fn inject_slice(&mut self, ctx: &NoiseContext, acts: &mut [f32], n_tot: usize) {
         if let Some(s) = ctx.stream {
             self.reseed(s);
@@ -689,7 +689,7 @@ fn drift_layer_seed(chip_seed: u64, layer: u64) -> u64 {
 /// both Gaussians drawn deterministically per `(chip seed, layer)` — the
 /// chip is programmed once, so the draw is a *device* property like
 /// [`MismatchModel`], invariant under `reseed` and identical for every
-/// request a server coalesces. At `t = t0` the drift factor is exactly 1
+/// request a server answers. At `t = t0` the drift factor is exactly 1
 /// and the model reduces bitwise to programming noise only.
 ///
 /// A weight-domain model: [`ErrorModel::sigma_hint`] is `None`, injection

@@ -139,9 +139,8 @@ impl GaussianInjector {
     /// [`GaussianInjector::inject_sigma`] over a raw slice — the same
     /// draws in the same order, so injecting a tensor's per-image slices
     /// one at a time (reseeding in between) reproduces what a sequence of
-    /// batch-1 `inject_sigma` calls would produce. This is what makes the
-    /// serving path's coalesced batches bit-identical to offline batch-1
-    /// evaluation.
+    /// batch-1 `inject_sigma` calls would produce, so a batch of requests
+    /// stays bit-identical to offline batch-1 evaluation.
     pub fn inject_sigma_slice(&mut self, activations: &mut [f32], sigma: f32) {
         if sigma <= 0.0 {
             return;

@@ -255,8 +255,8 @@ impl AnalogGemm {
     /// forward: image `i` of the batch draws its layer noise from
     /// `noise_stream_seed(seeds[i], noise_index)`, exactly the stream an
     /// offline `reseed_noise(seeds[i], noise_index)` + batch-1 forward
-    /// would use — that is what makes coalesced serving batches
-    /// bit-identical to offline evaluation.
+    /// would use — that is what makes a batch of requests bit-identical
+    /// to offline evaluation.
     pub fn set_request_noise_seeds(&mut self, seeds: Option<Arc<Vec<u64>>>, noise_index: u64) {
         self.request_seeds = seeds.map(|s| (s, noise_index));
     }
@@ -473,10 +473,11 @@ impl AnalogGemm {
         let n_tot = self.n_tot;
         match self.request_seeds.as_ref().filter(|_| !train) {
             Some((seeds, noise_index)) => {
-                // Per-request noise streams (serving): image `i` draws the
-                // exact stream an offline reseed_noise(seeds[i]) + batch-1
-                // forward would, so coalesced batches stay bit-identical
-                // to offline evaluation regardless of batch composition.
+                // Per-request noise streams: image `i` draws the exact
+                // stream an offline reseed_noise(seeds[i]) + batch-1
+                // forward would, so a batch of requests stays
+                // bit-identical to offline evaluation regardless of batch
+                // composition.
                 let n = y.dims()[0];
                 assert_eq!(
                     seeds.len(),

@@ -300,8 +300,8 @@ pub trait AmsModel: Layer {
 
     /// Sets (or clears) per-request noise seeds on every injecting layer:
     /// image `i` of the next eval batch draws the exact noise an offline
-    /// `reseed_noise(seeds[i])` + batch-1 forward would, making coalesced
-    /// serving batches bit-identical to offline evaluation.
+    /// `reseed_noise(seeds[i])` + batch-1 forward would, making a batch of
+    /// requests bit-identical to offline evaluation.
     fn set_request_noise_seeds(&mut self, seeds: Option<Arc<Vec<u64>>>) {
         for_each_noise_stream(self, &mut |g, index| {
             g.set_request_noise_seeds(seeds.clone(), index);

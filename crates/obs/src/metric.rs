@@ -203,7 +203,7 @@ impl Histogram {
     }
 
     /// Sum of all observed values (Prometheus `_sum`). Serving uses this
-    /// to cross-check coalescing: the batch-size histogram's sum must
+    /// to cross-check its batches: the batch-size histogram's sum must
     /// equal the number of requests served.
     pub fn sum(&self) -> f64 {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))

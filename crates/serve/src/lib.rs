@@ -1,16 +1,15 @@
-//! `ams-serve`: a batched noisy-inference daemon for the AMS error-model
-//! stack (DESIGN.md §14).
+//! `ams-serve`: a noisy-inference daemon for the AMS error-model stack
+//! (DESIGN.md §14).
 //!
 //! The daemon loads one trained + quantized checkpoint for a
 //! `{model, quant, error-model, kernel}` scenario, freezes the quantized
 //! weights once ([`ScenarioConfig::load`]), and serves classification
 //! requests over a length-prefixed TCP protocol ([`protocol`]). An
 //! owned-state actor pool of worker replicas shares the frozen weights by
-//! `Arc`; a dispatcher coalesces queued requests into batched forward
-//! passes (adaptive batching, capped by batch size and queue delay).
-//! Per-request noise seeds keep every reply bit-identical to an offline
-//! `reseed_noise(seed)` + batch-1 evaluation, no matter how requests were
-//! coalesced.
+//! `Arc`; a dispatcher hands each request to the next idle worker, which
+//! runs it as one batch-1 forward under the request's noise seed. Every
+//! reply is bit-identical to an offline `reseed_noise(seed)` + batch-1
+//! evaluation.
 //!
 //! # Example (in-process, as the e2e test drives it)
 //!
@@ -27,11 +26,9 @@
 
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod protocol;
 pub mod scenario;
 pub mod server;
 
-pub use cli::ServeArgs;
 pub use scenario::{LoadedScenario, ScenarioConfig};
 pub use server::{start, ServeConfig, ServerHandle, BATCH_SIZE_BOUNDS, LATENCY_MS_BOUNDS};

@@ -27,7 +27,7 @@
 //! classify requests on one connection and match responses out of order.
 //! `seed` is the per-request noise seed: the daemon guarantees the reply
 //! logits are bit-identical to an offline `reseed_noise(seed)` + batch-1
-//! evaluation, no matter how requests were coalesced into batches.
+//! evaluation, whichever worker answers it.
 //!
 //! `classify-at` (0x03) additionally pins the simulated inference time
 //! `t` (seconds after programming, positive and finite) the drift-aware
@@ -334,8 +334,8 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Option<ClassifyResponse>> {
 
 /// A blocking client for the serve protocol: one request in flight.
 ///
-/// For pipelined load generation open several clients (see `bench_serve`);
-/// each call is a full round trip.
+/// For concurrent load open several clients; each call is a full round
+/// trip.
 #[derive(Debug)]
 pub struct ServeClient {
     stream: std::net::TcpStream,

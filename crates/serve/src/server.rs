@@ -1,22 +1,23 @@
 //! The daemon: an owned-state actor worker pool behind mpsc handles, fed
-//! by a dispatcher that coalesces queued requests into batched forwards.
+//! by a dispatcher that hands each request to the next idle worker.
 //!
 //! Thread topology (all `std` primitives — no async runtime):
 //!
 //! ```text
 //! accept loop ──► per-connection reader ──► dispatcher queue (mpsc)
 //!                     │                          │  claim an idle worker,
-//!                     ▼                          ▼  take ≤ max_batch queued
+//!                     ▼                          ▼  send it one request
 //!              per-connection writer ◄── worker 0..N (owned replica +
 //!                                         deterministic RNG streams)
 //! ```
 //!
 //! Workers own their model replica (frozen weights `Arc`-shared via
 //! [`LoadedScenario::build_replica`]) and signal readiness on an idle
-//! channel; the dispatcher hands each coalesced batch to the next idle
-//! worker, so batches never queue behind a busy replica while another
-//! sits idle. Per-request noise seeds make replies bit-identical to
-//! offline batch-1 evaluation regardless of how requests were batched.
+//! channel; the dispatcher hands each request to the next idle worker, so
+//! requests never queue behind a busy replica while another sits idle.
+//! Each request is one batch-1 forward under its own noise seed, made
+//! with the offline reference's own calls, so replies are bit-identical
+//! to offline `reseed_noise(seed)` + batch-1 evaluation.
 
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -37,7 +38,8 @@ use crate::protocol::{
 };
 use crate::scenario::LoadedScenario;
 
-/// Coalesced-batch-size histogram bounds (`serve.batch.size`).
+/// Forward-batch-size histogram bounds (`serve.batch.size`). Every
+/// forward serves one request, so it observes 1 per forward.
 pub const BATCH_SIZE_BOUNDS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
 /// Request-latency histogram bounds in milliseconds
@@ -46,19 +48,13 @@ pub const LATENCY_MS_BOUNDS: [f64; 13] = [
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0,
 ];
 
-/// Pool and batching knobs.
+/// Pool knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker replicas (each owns a model + workspace + RNG streams).
     pub workers: usize,
     /// Threads per worker `ExecCtx`; 0 derives `cores / workers` (min 1).
     pub threads_per_worker: usize,
-    /// Largest coalesced batch; 1 forces batch-1 (no coalescing). Kept
-    /// modest by default: per-image forward cost is nearly
-    /// batch-invariant here, so coalescing pays through dispatch
-    /// amortization, and large batches only add queueing delay and
-    /// working-set pressure.
-    pub max_batch: usize,
 }
 
 impl Default for ServeConfig {
@@ -66,7 +62,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             threads_per_worker: 0,
-            max_batch: 8,
         }
     }
 }
@@ -101,7 +96,7 @@ enum DispatchMsg {
 }
 
 enum WorkerMsg {
-    Batch(Vec<Job>),
+    Job(Job),
     Stop,
 }
 
@@ -152,7 +147,6 @@ pub fn start(
     metrics_addr: &str,
 ) -> io::Result<ServerHandle> {
     assert!(cfg.workers >= 1, "ServeConfig: zero workers");
-    assert!(cfg.max_batch >= 1, "ServeConfig: zero max_batch");
     let listener = TcpListener::bind(addr)?;
     let metrics_listener = TcpListener::bind(metrics_addr)?;
     let bound = listener.local_addr()?;
@@ -202,13 +196,10 @@ pub fn start(
     {
         let sink = sink.clone();
         let depth = Arc::clone(&depth);
-        let cfg = cfg.clone();
         threads.push(
             thread::Builder::new()
                 .name("ams-serve-dispatch".into())
-                .spawn(move || {
-                    dispatcher_loop(&queue_rx, &idle_rx, &worker_txs, &cfg, &sink, &depth)
-                })
+                .spawn(move || dispatcher_loop(&queue_rx, &idle_rx, &worker_txs, &sink, &depth))
                 .expect("spawn dispatcher"),
         );
     }
@@ -258,68 +249,41 @@ fn worker_loop(
     // metrics go through `sink`.
     let ctx = ExecCtx::with_threads(threads).with_kernel(scenario.kernel);
     let [c, h, w] = scenario.input_dims;
-    let per_image = c * h * w;
-    let classes = scenario.classes;
     if idle_tx.send(index).is_err() {
         return;
     }
-    while let Ok(WorkerMsg::Batch(jobs)) = rx.recv() {
-        sink.observe_histogram("serve.batch.size", &BATCH_SIZE_BOUNDS, jobs.len() as f64);
-        // Partition the coalesced batch by effective inference time: a
-        // pinned `classify-at` time, or the scenario's configured time
-        // for plain classifies. The overwhelmingly common uniform-time
-        // batch stays a single forward, so plain-classify replies remain
-        // bit-identical to the pre-drift daemon; only mixed-time batches
-        // split into one forward per distinct time.
-        let mut groups: Vec<(f64, Vec<Job>)> = Vec::new();
-        for job in jobs {
-            let t = job.t_infer.unwrap_or(scenario.at_time);
-            match groups
-                .iter_mut()
-                .find(|(gt, _)| gt.to_bits() == t.to_bits())
-            {
-                Some((_, group)) => group.push(job),
-                None => groups.push((t, vec![job])),
-            }
-        }
-        for (t, group) in groups {
-            let n = group.len();
-            let mut images = Tensor::zeros(&[n, c, h, w]);
-            {
-                let data = images.data_mut();
-                for (i, job) in group.iter().enumerate() {
-                    data[i * per_image..(i + 1) * per_image].copy_from_slice(&job.pixels);
-                }
-            }
-            let seeds: Arc<Vec<u64>> = Arc::new(group.iter().map(|j| j.seed).collect());
-            net.set_request_noise_seeds(Some(seeds));
-            net.set_inference_time(t);
-            sink.observe("serve.drift.t_infer", t);
-            let t0 = Instant::now();
-            let logits = net.forward(&ctx, &images, Mode::Eval);
-            sink.record_duration("serve.batch.forward", t0.elapsed());
-            for (i, job) in group.iter().enumerate() {
-                let payload = encode_response(&ClassifyResponse {
-                    seq: job.seq,
-                    t_infer: job.t_infer,
-                    hardware: scenario.hardware_info.clone(),
-                    logits: logits.data()[i * classes..(i + 1) * classes].to_vec(),
-                });
-                // A send error means the connection hung up; its loss.
-                let _ = job.reply.send(payload);
-                sink.observe_histogram(
-                    "serve.request.latency_ms",
-                    &LATENCY_MS_BOUNDS,
-                    job.enqueued.elapsed().as_secs_f64() * 1e3,
-                );
-                sink.observe_histogram(
-                    "serve.request.queue_wait_ms",
-                    &LATENCY_MS_BOUNDS,
-                    t0.saturating_duration_since(job.enqueued).as_secs_f64() * 1e3,
-                );
-                sink.inc("serve.responses");
-            }
-        }
+    while let Ok(WorkerMsg::Job(job)) = rx.recv() {
+        sink.observe_histogram("serve.batch.size", &BATCH_SIZE_BOUNDS, 1.0);
+        // The offline reference's own calls: a pinned `classify-at` time
+        // or the scenario's configured one, the request's noise seed,
+        // then one batch-1 forward.
+        let t = job.t_infer.unwrap_or(scenario.at_time);
+        let image = Tensor::from_vec(&[1, c, h, w], job.pixels).expect("request length checked");
+        net.set_inference_time(t);
+        net.reseed_noise(job.seed);
+        sink.observe("serve.drift.t_infer", t);
+        let t0 = Instant::now();
+        let logits = net.forward(&ctx, &image, Mode::Eval);
+        sink.record_duration("serve.batch.forward", t0.elapsed());
+        let payload = encode_response(&ClassifyResponse {
+            seq: job.seq,
+            t_infer: job.t_infer,
+            hardware: scenario.hardware_info.clone(),
+            logits: logits.data().to_vec(),
+        });
+        // A send error means the connection hung up; its loss.
+        let _ = job.reply.send(payload);
+        sink.observe_histogram(
+            "serve.request.latency_ms",
+            &LATENCY_MS_BOUNDS,
+            job.enqueued.elapsed().as_secs_f64() * 1e3,
+        );
+        sink.observe_histogram(
+            "serve.request.queue_wait_ms",
+            &LATENCY_MS_BOUNDS,
+            t0.saturating_duration_since(job.enqueued).as_secs_f64() * 1e3,
+        );
+        sink.inc("serve.responses");
         if idle_tx.send(index).is_err() {
             break;
         }
@@ -330,58 +294,38 @@ fn dispatcher_loop(
     queue_rx: &Receiver<DispatchMsg>,
     idle_rx: &Receiver<usize>,
     worker_txs: &[Sender<WorkerMsg>],
-    cfg: &ServeConfig,
     sink: &MetricsSink,
     depth: &AtomicI64,
 ) {
     let mut idle: VecDeque<usize> = VecDeque::new();
     let mut acks: Vec<Sender<()>> = Vec::new();
-    let claim = |idle: &mut VecDeque<usize>| {
-        idle.pop_front()
-            .unwrap_or_else(|| idle_rx.recv().expect("a worker outlives the dispatcher"))
-    };
-    let send_batch = |w: usize, batch: Vec<Job>| {
-        let remaining = depth.fetch_sub(batch.len() as i64, Ordering::Relaxed) - batch.len() as i64;
-        sink.observe("serve.queue.depth", remaining.max(0) as f64);
-        let _ = worker_txs[w].send(WorkerMsg::Batch(batch));
-    };
     loop {
-        let first = match queue_rx.recv() {
-            Ok(DispatchMsg::Job(j)) => j,
-            Ok(DispatchMsg::Drain(a)) => {
-                acks.push(a);
-                break;
-            }
-            Err(_) => break, // all connections and the acceptor gone
+        // Block on the queue until the first shutdown frame; after it,
+        // drain without blocking: everything enqueued before it (mpsc is
+        // FIFO) still gets dispatched and answered before the ack goes out.
+        let msg = if acks.is_empty() {
+            queue_rx.recv().ok()
+        } else {
+            queue_rx.try_recv().ok()
         };
-        // Adaptive, work-conserving coalescing: claim a worker first —
-        // while every replica is busy, arrivals pile up behind us, so the
-        // batch size adapts to pool pressure on its own. Once a worker is
-        // in hand, take whatever is already queued and send it: nothing
-        // waits on a clock, so a lone request under light load leaves at
-        // once as a batch of one.
-        let w = claim(&mut idle);
-        let (batch, drain) = next_batch(first, queue_rx, cfg.max_batch);
-        send_batch(w, batch);
-        if let Some(a) = drain {
-            acks.push(a);
-            break;
-        }
-    }
-    // Drain: everything enqueued before the shutdown frame (mpsc is FIFO)
-    // still gets dispatched and answered before the ack goes out.
-    while let Ok(msg) = queue_rx.try_recv() {
         match msg {
-            DispatchMsg::Job(first) => {
-                let w = claim(&mut idle);
-                let (batch, drain) = next_batch(first, queue_rx, cfg.max_batch);
-                send_batch(w, batch);
-                acks.extend(drain);
+            Some(DispatchMsg::Job(job)) => {
+                // Claim an idle worker, then send it the request: while
+                // every replica is busy, arrivals wait in the queue rather
+                // than behind one replica while another sits idle.
+                let w = idle
+                    .pop_front()
+                    .unwrap_or_else(|| idle_rx.recv().expect("a worker outlives the dispatcher"));
+                let remaining = depth.fetch_sub(1, Ordering::Relaxed) - 1;
+                sink.observe("serve.queue.depth", remaining.max(0) as f64);
+                let _ = worker_txs[w].send(WorkerMsg::Job(job));
             }
-            DispatchMsg::Drain(a) => acks.push(a),
+            Some(DispatchMsg::Drain(a)) => acks.push(a),
+            // Drained, or every connection and the acceptor gone.
+            None => break,
         }
     }
-    // Wait for every worker to finish its final batch, then stop them.
+    // Wait for every worker to finish its final request, then stop them.
     while idle.len() < worker_txs.len() {
         match idle_rx.recv() {
             Ok(w) => idle.push_back(w),
@@ -394,25 +338,6 @@ fn dispatcher_loop(
     for ack in acks {
         let _ = ack.send(());
     }
-}
-
-/// Forms one batch: `first` plus every job already queued behind it, up
-/// to `max_batch`, without blocking. A queued `Drain` ends the batch and
-/// is returned with it; `max_batch` 1 never touches the queue.
-fn next_batch(
-    first: Job,
-    queue_rx: &Receiver<DispatchMsg>,
-    max_batch: usize,
-) -> (Vec<Job>, Option<Sender<()>>) {
-    let mut batch = vec![first];
-    while batch.len() < max_batch {
-        match queue_rx.try_recv() {
-            Ok(DispatchMsg::Job(j)) => batch.push(j),
-            Ok(DispatchMsg::Drain(a)) => return (batch, Some(a)),
-            Err(_) => break,
-        }
-    }
-    (batch, None)
 }
 
 fn accept_loop(
@@ -582,77 +507,4 @@ fn serve_http(mut stream: TcpStream, registry: &Arc<Registry>) -> io::Result<()>
         body.len()
     );
     stream.write_all(response.as_bytes())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn job(seq: u64) -> Job {
-        Job {
-            seq,
-            seed: seq,
-            t_infer: None,
-            pixels: Vec::new(),
-            reply: mpsc::channel().0,
-            enqueued: Instant::now(),
-        }
-    }
-
-    /// A queue holding `jobs` queued jobs. The caller keeps the sender
-    /// alive, so a blocking receive on an emptied queue would hang.
-    fn queue(jobs: u64) -> (Sender<DispatchMsg>, Receiver<DispatchMsg>) {
-        let (tx, rx) = mpsc::channel();
-        for seq in 1..=jobs {
-            tx.send(DispatchMsg::Job(job(seq))).unwrap();
-        }
-        (tx, rx)
-    }
-
-    fn seqs(batch: &[Job]) -> Vec<u64> {
-        batch.iter().map(|j| j.seq).collect()
-    }
-
-    #[test]
-    fn takes_everything_queued_without_waiting() {
-        let (_tx, rx) = queue(3);
-        let (batch, drain) = next_batch(job(0), &rx, 8);
-        assert_eq!(seqs(&batch), [0, 1, 2, 3]);
-        assert!(drain.is_none());
-        assert!(rx.try_recv().is_err());
-    }
-
-    #[test]
-    fn stops_at_max_batch_and_leaves_the_rest_queued() {
-        let (_tx, rx) = queue(10);
-        let (batch, drain) = next_batch(job(0), &rx, 8);
-        assert_eq!(seqs(&batch), (0..8).collect::<Vec<_>>());
-        assert!(drain.is_none());
-        assert_eq!(rx.try_iter().count(), 3);
-    }
-
-    #[test]
-    fn a_queued_drain_ends_the_batch_and_is_returned() {
-        let (tx, rx) = queue(2);
-        let (ack_tx, ack_rx) = mpsc::channel();
-        tx.send(DispatchMsg::Drain(ack_tx)).unwrap();
-        tx.send(DispatchMsg::Job(job(9))).unwrap();
-        let (batch, drain) = next_batch(job(0), &rx, 8);
-        assert_eq!(seqs(&batch), [0, 1, 2]);
-        drain.expect("the drain is returned").send(()).unwrap();
-        assert!(ack_rx.try_recv().is_ok());
-        match rx.try_recv() {
-            Ok(DispatchMsg::Job(j)) => assert_eq!(j.seq, 9),
-            _ => panic!("the job behind the drain stays queued"),
-        }
-    }
-
-    #[test]
-    fn batch_of_one_never_touches_the_queue() {
-        let (_tx, rx) = queue(2);
-        let (batch, drain) = next_batch(job(0), &rx, 1);
-        assert_eq!(seqs(&batch), [0]);
-        assert!(drain.is_none());
-        assert_eq!(rx.try_iter().count(), 2);
-    }
 }

@@ -561,31 +561,14 @@ fn im2row_rows<const KW: usize>(padded: &[i16], geom: &ConvGeom, row: usize, dst
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a `(C·K_h·K_w, N·OH·OW)` column
-/// matrix back into an `(N, C, H, W)` tensor.
-///
-/// Serial wrapper over [`col2im_in`]. Used for the input-gradient of a
-/// convolution.
+/// matrix back into an `(N, C, H, W)` tensor, one `(n, c)` plane at a
+/// time. The oracle for the per-image input gradient
+/// [`conv_input_grad_in`], which scatters through the same per-plane body.
 ///
 /// # Panics
 ///
 /// Panics if `cols` is not 2-D or disagrees with `geom`.
 pub fn col2im(cols: &Tensor, geom: &ConvGeom) -> Tensor {
-    col2im_in(&ExecCtx::serial(), cols, geom)
-}
-
-/// [`col2im`] splitting the `(n, c)` output planes across the context's
-/// workers.
-///
-/// Kernel taps scatter into *overlapping* input pixels, so the tap rows
-/// that parallelize [`im2col_in`] would race here; output planes are
-/// disjoint instead, and within a plane the per-element accumulation
-/// order (`ki`, `kj`, `ohi`, `owi` ascending) is exactly the serial
-/// kernel's, so results are bit-identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if `cols` is not 2-D or disagrees with `geom`.
-pub fn col2im_in(ctx: &ExecCtx, cols: &Tensor, geom: &ConvGeom) -> Tensor {
     assert_eq!(cols.rank(), 2, "col2im: expected a 2-D column matrix");
     assert_eq!(
         cols.dims(),
@@ -593,30 +576,24 @@ pub fn col2im_in(ctx: &ExecCtx, cols: &Tensor, geom: &ConvGeom) -> Tensor {
         "col2im: column matrix dims disagree with geometry"
     );
     let (n, c, h, w) = (geom.n, geom.c_in, geom.h, geom.w);
-    // Pooled and zero-filled: the scatter-add needs a zero base.
-    let mut out = ctx.workspace().take_tensor(&[n, c, h, w]);
+    let mut out = Tensor::zeros(&[n, c, h, w]);
     let plane = h * w;
     if n * c == 0 || plane == 0 {
         return out;
     }
     let src = cols.data();
     let (cols_n, pixels) = (geom.cols(), geom.oh * geom.ow);
-    ctx.for_each_chunk(
-        out.data_mut(),
-        plane,
-        geom.kh * geom.kw * pixels,
-        |pi, dplane| {
-            let (ni, ci) = (pi / c, pi % c);
-            col2im_plane(src, cols_n, ni * pixels, geom, ci, dplane);
-        },
-    );
+    for (pi, dplane) in out.data_mut().chunks_mut(plane).enumerate() {
+        let (ni, ci) = (pi / c, pi % c);
+        col2im_plane(src, cols_n, ni * pixels, geom, ci, dplane);
+    }
     out
 }
 
 /// Scatter-adds channel `ci`'s tap rows of a column matrix (rows `row_len`
 /// long, this image's pixels starting at column `col0`) into that
 /// channel's `(H, W)` plane `dplane`, in the order `ki`, `kj`, `ohi`, `owi`
-/// ascending: the per-plane body of [`col2im_in`], and the scatter of
+/// ascending: the per-plane body of [`col2im`], and the scatter of
 /// [`conv_input_grad_in`] on one image's `(C·K_h·K_w, OH·OW)` block.
 fn col2im_plane(
     src: &[f32],
@@ -670,7 +647,7 @@ fn grad_channels(dy: &Tensor, geom: &ConvGeom) -> usize {
 ///
 /// Each scratch column reduces over `C_out` only, and col2im works per
 /// `(image, channel)` plane in the same order, so the result equals
-/// `col2im_in(matmul_at_b_in(weight_mat, dY as a (C_out, N·OH·OW) matrix))`
+/// `col2im(matmul_at_b_in(weight_mat, dY as a (C_out, N·OH·OW) matrix))`
 /// bit for bit, at any thread count (images are split across workers).
 ///
 /// # Panics
@@ -1043,27 +1020,5 @@ mod tests {
     #[should_panic(expected = "overflows usize")]
     fn geometry_rejects_extent_overflow() {
         let _ = ConvGeom::new(1, 1, usize::MAX - 1, 8, 3, 3, 1, 1);
-    }
-
-    #[test]
-    fn parallel_col2im_bit_identical_to_serial() {
-        use crate::exec::Parallelism;
-        use crate::rng;
-        // Overlapping taps (stride < kernel) so the scatter-add actually
-        // accumulates, plus a ragged plane count.
-        let g = ConvGeom::new(3, 5, 9, 7, 3, 3, 1, 1);
-        let mut y = Tensor::zeros(&[g.rows(), g.cols()]);
-        let mut r = rng::seeded(17);
-        rng::fill_uniform(&mut y, -1.0, 1.0, &mut r);
-        let want = col2im_in(&ExecCtx::serial(), &y, &g);
-        for threads in [2, 3, 8] {
-            let ctx = ExecCtx::new(Parallelism {
-                threads,
-                min_work: 0,
-            });
-            let got = col2im_in(&ctx, &y, &g);
-            assert_eq!(got, want, "threads = {threads}");
-            assert!(ctx.parallel_dispatch_count() > 0);
-        }
     }
 }

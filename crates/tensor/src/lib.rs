@@ -59,8 +59,8 @@ mod workspace;
 pub use ams_obs as obs;
 pub use ams_obs::MetricsSink;
 pub use conv::{
-    code_im2row_i16_in, col2im, col2im_in, conv_input_grad_in, conv_weight_grad_in, im2col,
-    im2col_in, mat_to_nchw, mat_to_nchw_in, ConvGeom, Im2colPanel,
+    code_im2row_i16_in, col2im, conv_input_grad_in, conv_weight_grad_in, im2col, im2col_in,
+    mat_to_nchw, mat_to_nchw_in, ConvGeom, Im2colPanel,
 };
 pub use exec::{noise_stream_seed, ExecCtx, KernelDispatch, Parallelism};
 pub use matmul::{
