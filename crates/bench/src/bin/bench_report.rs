@@ -15,6 +15,7 @@
 
 use std::time::Instant;
 
+use ams_core::inject::GaussianInjector;
 use ams_exp::usage_exit;
 use ams_models::{HardwareConfig, InputKind, QConv2d, QLinear};
 use ams_nn::functional::{conv2d_backward, conv2d_forward};
@@ -367,6 +368,27 @@ fn main() {
             ],
             &train,
         ));
+
+        // -- lumped Gaussian injection (paper Eq. 2) over the conv output,
+        // the per-layer noise every analog forward adds; the row also
+        // reports the cost per injected sample.
+        let out_dims = [shape.n, shape.c_out, geom.oh, geom.ow];
+        let mut acts = Tensor::zeros(&out_dims);
+        let samples = acts.len() as f64;
+        let mut injector = GaussianInjector::new(9);
+        let inject = time_reps(reps, || injector.inject_sigma(&mut acts, 0.05));
+        let ns: Vec<f64> = inject.iter().map(|ms| ms * 1e6 / samples).collect();
+        let mut row = summary("gaussian_inject", shape, &out_dims, &inject);
+        if let Value::Map(fields) = &mut row {
+            for (key, p) in [
+                ("ns_per_sample_p10", 0.1),
+                ("ns_per_sample_p50", 0.5),
+                ("ns_per_sample_p90", 0.9),
+            ] {
+                fields.push((key.to_string(), Value::F64(percentile(&ns, p))));
+            }
+        }
+        results.push(row);
 
         // -- quantized conv eval forward (quantize + conv, steady state).
         let mut r = rng::seeded(5);
