@@ -522,11 +522,7 @@ fn inject_gaussian(
     trace: bool,
 ) -> WelfordState {
     match sigma {
-        Some(s) if trace => injector.inject_sigma_slice_traced(acts, s),
-        Some(s) => {
-            injector.inject_sigma_slice(acts, s);
-            WelfordState::new()
-        }
+        Some(s) => injector.inject_sigma_slice(acts, s, trace),
         None => WelfordState::new(),
     }
 }
@@ -736,12 +732,15 @@ impl ErrorModel for DriftingPcm {
             Some(m) => m.apply(weights, ctx.layer),
             None => weights.clone(),
         };
+        // Two draws per weight, in stream order: g1 (programming noise),
+        // then g2 (drift-exponent spread).
+        let mut draws = vec![0.0f32; 2 * realized.len()];
         let mut r = rng::seeded(drift_layer_seed(self.chip_seed, ctx.layer));
+        rng::fill_standard_normal(&mut r, &mut draws);
         let sigma_prog = self.sigma_prog as f32;
         let ratio = ctx.t / DRIFT_T0;
-        for w in realized.data_mut() {
-            let g1 = rng::standard_normal(&mut r);
-            let g2 = rng::standard_normal(&mut r);
+        for (w, g) in realized.data_mut().iter_mut().zip(draws.chunks_exact(2)) {
+            let (g1, g2) = (g[0], g[1]);
             let nu_i = self.nu + self.nu_std * f64::from(g2);
             // `1.0.powf(x)` is exactly 1, so t = t0 reduces bitwise to
             // programming noise only; guard anyway so the reduction never

@@ -133,7 +133,7 @@ impl GaussianInjector {
     /// A non-positive σ is a no-op, so callers can disable injection by
     /// zeroing the σ rather than branching.
     pub fn inject_sigma(&mut self, activations: &mut Tensor, sigma: f32) {
-        self.inject_sigma_slice(activations.data_mut(), sigma);
+        self.inject_sigma_slice(activations.data_mut(), sigma, false);
     }
 
     /// [`GaussianInjector::inject_sigma`] over a raw slice — the same
@@ -141,51 +141,38 @@ impl GaussianInjector {
     /// one at a time (reseeding in between) reproduces what a sequence of
     /// batch-1 `inject_sigma` calls would produce, so a batch of requests
     /// stays bit-identical to offline batch-1 evaluation.
-    pub fn inject_sigma_slice(&mut self, activations: &mut [f32], sigma: f32) {
-        if sigma <= 0.0 {
-            return;
-        }
-        for v in activations {
-            *v += sigma * rng::standard_normal(&mut self.rng);
-        }
-    }
-
-    /// Like [`GaussianInjector::inject_sigma`], but additionally
-    /// accumulates the injected error samples into a [`WelfordState`]
-    /// summary for metrics reporting.
     ///
-    /// Draws the **identical RNG stream** as `inject_sigma` — same calls,
-    /// same order — so switching tracing on or off never perturbs the
-    /// noisy activations themselves, only whether their statistics are
-    /// observed. A non-positive σ is a no-op returning an empty state.
-    pub fn inject_sigma_traced(&mut self, activations: &mut Tensor, sigma: f32) -> WelfordState {
-        self.inject_sigma_slice_traced(activations.data_mut(), sigma)
-    }
-
-    /// [`GaussianInjector::inject_sigma_traced`] over a raw slice: the
-    /// slice analogue of [`GaussianInjector::inject_sigma_slice`], drawing
-    /// the identical RNG stream as the untraced variant.
-    pub fn inject_sigma_slice_traced(
+    /// With `trace` set, the injected error samples are also summarized
+    /// into the returned [`WelfordState`] for metrics reporting. Tracing
+    /// draws the **identical RNG stream**, so switching it on or off never
+    /// perturbs the noisy activations, only whether their statistics are
+    /// observed. A non-positive σ, or `trace` unset, returns an empty
+    /// state.
+    pub fn inject_sigma_slice(
         &mut self,
         activations: &mut [f32],
         sigma: f32,
+        trace: bool,
     ) -> WelfordState {
         let mut stats = WelfordState::new();
         if sigma <= 0.0 {
             return stats;
         }
-        for v in activations {
-            let noise = sigma * rng::standard_normal(&mut self.rng);
-            *v += noise;
-            stats.push(f64::from(noise));
+        let mut noise = [0.0f32; rng::NORMAL_BLOCK];
+        for block in activations.chunks_mut(noise.len()) {
+            let noise = &mut noise[..block.len()];
+            rng::fill_standard_normal(&mut self.rng, noise);
+            for (v, z) in block.iter_mut().zip(noise.iter_mut()) {
+                *z *= sigma;
+                *v += *z;
+            }
+            if trace {
+                for &z in noise.iter() {
+                    stats.push(f64::from(z));
+                }
+            }
         }
         stats
-    }
-
-    /// Draws a single `N(0, 1)` sample (exposed for the per-VMAC simulator
-    /// which shares this RNG).
-    pub fn standard_normal(&mut self) -> f32 {
-        rng::standard_normal(&mut self.rng)
     }
 
     /// Reseeds the injector (each of the paper's five validation passes
@@ -249,15 +236,33 @@ mod tests {
         let mut traced = GaussianInjector::new(11);
         let mut a = Tensor::zeros(&[4, 8, 8]);
         let mut b = Tensor::zeros(&[4, 8, 8]);
-        plain.inject_sigma(&mut a, 0.5);
-        let stats = traced.inject_sigma_traced(&mut b, 0.5);
+        let untraced = plain.inject_sigma_slice(a.data_mut(), 0.5, false);
+        assert!(untraced.is_empty());
+        let stats = traced.inject_sigma_slice(b.data_mut(), 0.5, true);
         assert_eq!(a, b, "tracing must not perturb the noise stream");
         assert_eq!(stats.count, a.len() as u64);
         assert!(stats.mean.abs() < 0.1);
         assert!((stats.sample_std() - 0.5).abs() < 0.05);
         // Zero sigma: no-op, empty summary.
-        let empty = traced.inject_sigma_traced(&mut b, 0.0);
+        let empty = traced.inject_sigma_slice(b.data_mut(), 0.0, true);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn injection_adds_scaled_scalar_draws_in_stream_order() {
+        // The block loop draws exactly what one `standard_normal` per
+        // element would, across partial blocks and calls.
+        let sigma = 0.25;
+        let mut inj = GaussianInjector::new(17);
+        let mut expected = rng::seeded(17);
+        for len in [1, 63, 64, 65, 200] {
+            let mut acts = vec![1.0f32; len];
+            inj.inject_sigma_slice(&mut acts, sigma, false);
+            for &v in &acts {
+                let want = 1.0 + sigma * rng::standard_normal(&mut expected);
+                assert_eq!(v.to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -273,10 +278,13 @@ mod tests {
     #[test]
     fn reseed_restores_stream() {
         let mut inj = GaussianInjector::new(3);
-        let first = inj.standard_normal();
-        inj.standard_normal();
+        let mut first = Tensor::zeros(&[5]);
+        inj.inject_sigma(&mut first, 1.0);
+        inj.inject_sigma(&mut Tensor::zeros(&[5]), 1.0);
         inj.reseed(3);
-        assert_eq!(inj.standard_normal(), first);
+        let mut again = Tensor::zeros(&[5]);
+        inj.inject_sigma(&mut again, 1.0);
+        assert_eq!(again, first);
     }
 
     #[test]

@@ -63,11 +63,12 @@ impl MismatchModel {
         if self.sigma == 0.0 {
             return weights.clone();
         }
-        let mut r = rng::seeded(self.layer_seed(layer_index));
         let sigma = self.sigma as f32;
-        let mut realized = weights.clone();
-        for w in realized.data_mut() {
-            *w *= 1.0 + sigma * rng::standard_normal(&mut r);
+        let mut realized = weights.zeros_like();
+        let mut r = rng::seeded(self.layer_seed(layer_index));
+        rng::fill_standard_normal(&mut r, realized.data_mut());
+        for (v, &w) in realized.data_mut().iter_mut().zip(weights.data()) {
+            *v = w * (1.0 + sigma * *v);
         }
         realized
     }

@@ -5,6 +5,8 @@
 //! seeded [`rand::rngs::StdRng`], so every experiment is reproducible from a
 //! single `u64` seed.
 
+use std::f32::consts::TAU;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -73,8 +75,97 @@ impl RngState {
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     // Avoid ln(0) by sampling u1 from the open interval (0, 1].
     let u1: f32 = 1.0 - rng.gen::<f32>();
-    let u2: f32 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+    let angle = TAU * rng.gen::<f32>();
+    (-2.0 * u1.ln()).sqrt() * cos_tau(angle)
+}
+
+/// Samples per block of [`fill_standard_normal`]: its angle buffer lives
+/// on the stack, and callers that block their own loops use the same
+/// size.
+pub const NORMAL_BLOCK: usize = 64;
+
+/// Fills `out` with standard-normal samples, bit-identical to
+/// `out.len()` successive [`standard_normal`] calls and leaving `rng` at
+/// the same stream position.
+///
+/// The samples are drawn in blocks of [`NORMAL_BLOCK`], in passes: first the uniforms
+/// in the same order as [`standard_normal`] (the only serial part), then
+/// the radii `√(−2 ln u₁)`, then the cosines and the products. The passes
+/// after the first carry no dependency from one sample to the next.
+pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32]) {
+    let mut angles = [0.0f32; NORMAL_BLOCK];
+    for block in out.chunks_mut(NORMAL_BLOCK) {
+        let angles = &mut angles[..block.len()];
+        for (u1, angle) in block.iter_mut().zip(angles.iter_mut()) {
+            *u1 = 1.0 - rng.gen::<f32>();
+            *angle = TAU * rng.gen::<f32>();
+        }
+        for v in block.iter_mut() {
+            *v = (-2.0 * v.ln()).sqrt();
+        }
+        for (v, &angle) in block.iter_mut().zip(angles.iter()) {
+            *v *= cos_tau(angle);
+        }
+    }
+}
+
+/// `f64::from_bits` of glibc's `__sincosf_table[0]` entries
+/// (`sysdeps/ieee754/flt-32/sincosf_data.c`): π/2, the cosine polynomial
+/// `C0..C4` and the sine polynomial `S1..S3`. Table 1 is table 0 with the
+/// cosine polynomial negated, which [`cos_tau`] applies as a sign flip.
+const HALF_PI: f64 = f64::from_bits(0x3ff9_21fb_5444_2d18);
+const COS_C: [f64; 5] = [
+    1.0,
+    f64::from_bits(0xbfdf_ffff_fd0c_621c),
+    f64::from_bits(0x3fa5_5553_e106_8f19),
+    f64::from_bits(0xbf56_c087_e89a_359d),
+    f64::from_bits(0x3ef9_9343_027b_f8c3),
+];
+const SIN_S: [f64; 3] = [
+    f64::from_bits(0xbfc5_5554_5995_a603),
+    f64::from_bits(0x3f81_1076_0523_0bc4),
+    f64::from_bits(0xbf29_94eb_3774_cf24),
+];
+
+/// The smallest `f32` arguments at which glibc's quadrant
+/// `((int)(x · 2²⁴ · 2/π) + 2²³) >> 24` reaches 1, 2, 3 and 4.
+const QUADRANT_STEPS: [u32; 4] = [0x3f49_0fdb, 0x4016_cbe4, 0x407b_53d2, 0x40af_ede0];
+
+/// Below this argument glibc's `cosf` returns exactly 1 (2⁻¹²).
+const COS_TINY: u32 = 0x3980_0000;
+
+/// `cos(angle)` for `angle` in `[0, 2π)`, bit-identical to glibc 2.36's
+/// `cosf` (`sysdeps/ieee754/flt-32/s_cosf.c` with `sincosf.h`) on that
+/// range, without its branches.
+///
+/// glibc reduces the argument by the nearest multiple `n` of π/2 in f64,
+/// then evaluates the sine or the cosine polynomial by `n`'s parity and
+/// negates by `n`'s second bit. Here the quadrant comes from four
+/// comparisons, both polynomials are evaluated in glibc's operation
+/// order, and the result is selected and signed with bit masks, so a
+/// uniformly random angle costs no mispredicted branch. Outside
+/// `[0, 2π)` the result is not glibc's.
+pub fn cos_tau(angle: f32) -> f32 {
+    let n = QUADRANT_STEPS
+        .iter()
+        .map(|&step| u32::from(angle >= f32::from_bits(step)))
+        .sum::<u32>();
+    let x = f64::from(angle) - f64::from(n) * HALF_PI;
+    let x2 = x * x;
+    let x3 = x * x2;
+    let x4 = x2 * x2;
+    let sin = (x + x3 * SIN_S[0]) + x3 * x2 * (SIN_S[1] + x2 * SIN_S[2]);
+    let cos = (COS_C[0] + x2 * COS_C[1]) + x4 * COS_C[2] + x4 * x2 * (COS_C[3] + x2 * COS_C[4]);
+    // Odd quadrants take the sine; quadrants 1 and 2 are negative.
+    let odd = u64::from(n & 1).wrapping_neg();
+    let negate = u64::from(((n + 1) >> 1) & 1) << 63;
+    let picked = (sin.to_bits() & odd) | (cos.to_bits() & !odd);
+    let value = f64::from_bits(picked ^ negate) as f32;
+    if angle < f32::from_bits(COS_TINY) {
+        1.0
+    } else {
+        value
+    }
 }
 
 /// Fills a tensor with independent `U(lo, hi)` samples.
@@ -96,8 +187,10 @@ pub fn fill_uniform<R: Rng + ?Sized>(t: &mut Tensor, lo: f32, hi: f32, rng: &mut
 /// Panics if `std` is negative.
 pub fn fill_normal<R: Rng + ?Sized>(t: &mut Tensor, mean: f32, std: f32, rng: &mut R) {
     assert!(std >= 0.0, "fill_normal: negative std {std}");
-    for v in t.data_mut() {
-        *v = mean + std * standard_normal(rng);
+    let data = t.data_mut();
+    fill_standard_normal(rng, data);
+    for v in data {
+        *v = mean + std * *v;
     }
 }
 
