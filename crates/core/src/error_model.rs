@@ -1,55 +1,45 @@
-//! Pluggable per-layer error models.
+//! Per-layer error models as data.
 //!
 //! The paper's headline abstraction is "error-free dot product plus
 //! additive error" (Eq. 1/2), but §4 notes that modeling the multipliers
 //! and the ADC separately — or simulating each VMAC conversion — enables
-//! finer-grained analysis. This module unifies those alternatives behind
-//! one [`ErrorModel`] trait so the network layers, the trainer, the sweep
-//! engine, and the CLI all select an error model through a single
-//! serializable [`ErrorModelConfig`] instead of being hardwired to the
-//! lumped Gaussian path.
+//! finer-grained analysis. Those refinements are parameters of one
+//! process, so one struct, [`LayerError`], holds them as fields: an
+//! additive σ rule, an optional operand simulator and a weight
+//! realization. The network layers, the trainer, the sweep engine and the
+//! CLI select a configuration through one serializable
+//! [`ErrorModelConfig`], and [`ErrorModelConfig::build`] turns it into
+//! one layer's [`LayerError`].
 //!
 //! # The noise context
 //!
 //! Every evaluation of an error model happens under a [`NoiseContext`]:
-//! the simulated inference time `t`, the train/eval phase, the layer id,
-//! and an optional per-request RNG stream handle. Layers build one
-//! context per forward pass and hand it to the single required entry
-//! point [`ErrorModel::inject_ctx`]; the tensor/traced/slice call shapes
-//! the layers use are provided adapters over it. Time matters for
-//! conductance-drift models ([`DriftingPcm`]): accuracy becomes a
-//! function of *when* you infer, not just ENOB/N_mult.
+//! the simulated inference time `t`, the layer id, and an optional
+//! per-request RNG stream handle. Layers build one context per forward
+//! pass and hand it to [`LayerError::inject`] and
+//! [`LayerError::realize_weights`]. Time matters for conductance drift
+//! ([`ErrorModelConfig::DriftingPcm`]): accuracy becomes a function of
+//! *when* you infer, not just ENOB/N_mult.
 //!
 //! # RNG / resume contract
 //!
-//! Every implementation — including the no-op [`IdealModel`] — owns
-//! exactly **one** [`GaussianInjector`] stream, so [`ErrorModel::rng_cursors`]
-//! always returns one cursor per layer. That keeps the checkpoint format
-//! of DESIGN.md §9 (a flat `Vec<RngState>`, one entry per injecting layer)
-//! valid for every model, and it keeps [`ErrorModelConfig::Lumped`]
-//! bit-identical to the pre-trait `GaussianInjector` wiring: same seed,
-//! same stream, same draw order.
+//! Every [`LayerError`] — including one that injects nothing — owns
+//! exactly **one** [`GaussianInjector`] stream, whose cursor
+//! [`LayerError::noise_state`] snapshots. That keeps the checkpoint
+//! format of DESIGN.md §9 (one `RngState` per analog layer) valid for
+//! every configuration, and it keeps [`ErrorModelConfig::Lumped`]
+//! bit-identical to a bare `GaussianInjector` at the layer's seed: same
+//! stream, same draw order.
 //!
-//! # Choosing an implementation
+//! # Choosing a configuration
 //!
-//! * [`ErrorModelConfig::Lumped`] — the paper's main method (default).
-//!   One Gaussian per output activation at the Eq. 2 σ. Cheapest; use for
-//!   training and for every headline figure.
-//! * [`ErrorModelConfig::Ideal`] — injects nothing. Use to isolate
-//!   quantization effects from AMS error on otherwise-identical configs.
-//! * [`ErrorModelConfig::Composite`] — multiplier RMS error and ADC
-//!   quantization budgeted separately (paper §4), lumped into a single
-//!   Gaussian at the combined σ. Use to study multiplier/ADC trade-offs.
-//! * [`ErrorModelConfig::PerVmac`] — chunked per-conversion simulation at
-//!   evaluation time (training falls back to the lumped Gaussian so the
-//!   backward pass stays differentiable). Use to validate the Gaussian
-//!   lumping claim at network scale, or to run ΔΣ / reference-scaled /
-//!   partitioned converters end to end.
-//! * [`ErrorModelConfig::DriftingPcm`] — PCM-style conductance drift:
-//!   programming noise plus a per-weight `G(t) = G0·(t/t0)^-ν` decay.
-//!   A weight-domain model (no additive injection), so it always routes
-//!   through the f32 reference kernels. Use for the accuracy-vs-time
-//!   curves of figD.
+//! [`ErrorModelConfig::Lumped`], the paper's main method, is the default
+//! and the cheapest: use it for training and every headline figure.
+//! `Ideal` isolates quantization effects from AMS error; `Composite`
+//! studies multiplier/ADC trade-offs; `PerVmac` validates the Gaussian
+//! lumping claim at network scale or runs ΔΣ / reference-scaled /
+//! partitioned converters end to end; `DriftingPcm` gives figD's
+//! accuracy-vs-time curves. Each variant documents its model.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -86,14 +76,12 @@ pub const DRIFT_SIGMA_PROG_DEFAULT: f64 = 0.05;
 
 /// Everything one evaluation of an error model may depend on, built once
 /// per forward pass by the layer and threaded to every
-/// [`ErrorModel::inject_ctx`] / [`ErrorModel::realize_weights`] call.
+/// [`LayerError::inject`] / [`LayerError::realize_weights`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseContext {
     /// Simulated inference time in seconds (drift models read it; every
     /// other model ignores it). Defaults to [`DRIFT_T0`].
     pub t: f64,
-    /// Whether this forward pass is a training pass.
-    pub train: bool,
     /// The layer's noise index (the same id its RNG stream was seeded
     /// under).
     pub layer: u64,
@@ -103,21 +91,12 @@ pub struct NoiseContext {
 }
 
 impl NoiseContext {
-    /// An evaluation-phase context for `layer` at the reference time.
+    /// A context for `layer` at the reference time.
     pub fn eval(layer: u64) -> Self {
         NoiseContext {
             t: DRIFT_T0,
-            train: false,
             layer,
             stream: None,
-        }
-    }
-
-    /// A training-phase context for `layer` at the reference time.
-    pub fn train(layer: u64) -> Self {
-        NoiseContext {
-            train: true,
-            ..Self::eval(layer)
         }
     }
 
@@ -134,13 +113,7 @@ impl NoiseContext {
     }
 }
 
-impl Default for NoiseContext {
-    fn default() -> Self {
-        Self::eval(0)
-    }
-}
-
-/// Which error-model implementation a configuration selects.
+/// Which error-model configuration family a layer runs.
 ///
 /// Displayed (and parsed) as the CLI spellings `ideal`, `lumped`,
 /// `composite`, `per-vmac`, `drifting-pcm`.
@@ -174,16 +147,15 @@ impl std::str::FromStr for ErrorModelKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "ideal" => Ok(ErrorModelKind::Ideal),
-            "lumped" => Ok(ErrorModelKind::Lumped),
-            "composite" => Ok(ErrorModelKind::Composite),
-            "per-vmac" => Ok(ErrorModelKind::PerVmac),
-            "drifting-pcm" => Ok(ErrorModelKind::DriftingPcm),
-            other => Err(format!(
-                "unknown error model {other:?}; expected lumped|composite|per-vmac|drifting-pcm|ideal"
-            )),
-        }
+        use ErrorModelKind::*;
+        [Ideal, Lumped, Composite, PerVmac, DriftingPcm]
+            .into_iter()
+            .find(|k| k.to_string() == s)
+            .ok_or_else(|| {
+                format!(
+                    "unknown error model {s:?}; expected lumped|composite|per-vmac|drifting-pcm|ideal"
+                )
+            })
     }
 }
 
@@ -203,14 +175,14 @@ pub struct PartitionSpec {
 /// Serializable selection of an error model plus its parameters.
 ///
 /// This is what travels through `HardwareConfig`, the CLI, and training
-/// checkpoints; [`ErrorModelConfig::build`] turns it into a live
-/// [`ErrorModel`] for one layer.
+/// checkpoints; [`ErrorModelConfig::build`] turns it into one layer's
+/// [`LayerError`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum ErrorModelConfig {
     /// No injected error.
     Ideal,
     /// The paper's lumped Gaussian (Eq. 1/2). The default, bit-identical
-    /// to the pre-trait injection path.
+    /// to a bare `GaussianInjector` at the Eq. 2 σ.
     #[default]
     Lumped,
     /// Multiplier + ADC split: the layer's `Vmac` describes the ADC and
@@ -265,7 +237,7 @@ impl ErrorModelConfig {
         }
     }
 
-    /// Which implementation this configuration selects.
+    /// Which configuration family this is.
     pub fn kind(&self) -> ErrorModelKind {
         match self {
             ErrorModelConfig::Ideal => ErrorModelKind::Ideal,
@@ -281,70 +253,64 @@ impl ErrorModelConfig {
     /// `vmac` is the layer's converter geometry (`None` on hardware
     /// without an AMS error budget — the model then injects nothing),
     /// `mismatch` the optional static device-mismatch overlay, and
-    /// `stream_seed` the layer's noise-stream seed (the same value the
-    /// pre-trait code handed to `GaussianInjector::new`).
+    /// `stream_seed` the layer's noise-stream seed (what a bare
+    /// `GaussianInjector::new` at the layer would take).
     ///
     /// # Panics
     ///
     /// Panics if a [`PartitionSpec`] does not divide the operand bits
-    /// evenly (see [`PartitionedVmac::new`]), composite parameters are
-    /// invalid (see [`CompositeError::new`]), or drift parameters are
-    /// negative or non-finite.
+    /// evenly (see [`PartitionedVmac::new`]), composite or ADC parameters
+    /// are invalid (see [`CompositeError::new`], [`VmacSimulator::new`]),
+    /// or drift parameters are negative or non-finite.
     pub fn build(
         &self,
         vmac: Option<Vmac>,
         mismatch: Option<MismatchModel>,
         stream_seed: u64,
-    ) -> Box<dyn ErrorModel> {
-        let injector = GaussianInjector::new(stream_seed);
+    ) -> LayerError {
+        let mut model = LayerError {
+            kind: self.kind(),
+            additive: vmac.map(AdditiveError::Vmac),
+            operand_sim: None,
+            weights: mismatch.map(WeightRealization::Mismatch),
+            injector: GaussianInjector::new(stream_seed),
+        };
         match *self {
-            ErrorModelConfig::Ideal => Box::new(IdealModel { mismatch, injector }),
-            ErrorModelConfig::Lumped => Box::new(LumpedGaussian {
-                vmac,
-                mismatch,
-                injector,
-            }),
-            ErrorModelConfig::Composite { multiplier_sigma } => Box::new(CompositeModel {
-                composite: vmac.map(|v| CompositeError::new(v, multiplier_sigma)),
-                mismatch,
-                injector,
-            }),
+            ErrorModelConfig::Ideal => model.additive = None,
+            ErrorModelConfig::Lumped => {}
+            ErrorModelConfig::Composite { multiplier_sigma } => {
+                model.additive = vmac
+                    .map(|v| AdditiveError::Composite(CompositeError::new(v, multiplier_sigma)));
+            }
             ErrorModelConfig::PerVmac {
                 behavior,
                 partition,
-            } => Box::new(PerVmacSim {
-                vmac: vmac.map(|v| match partition {
-                    Some(spec) => partition_equivalent(v, spec),
-                    None => v,
-                }),
-                behavior,
-                mismatch,
-                injector,
-            }),
+            } => {
+                if let Some(v) = vmac {
+                    let v = partition.map_or(v, |spec| partition_equivalent(v, spec));
+                    model.additive = Some(AdditiveError::Vmac(v));
+                    model.operand_sim = Some(VmacSimulator::new(v, behavior));
+                }
+            }
             ErrorModelConfig::DriftingPcm {
                 nu,
                 nu_std,
                 sigma_prog,
             } => {
-                assert!(nu.is_finite() && nu >= 0.0, "DriftingPcm: bad nu {nu}");
-                assert!(
-                    nu_std.is_finite() && nu_std >= 0.0,
-                    "DriftingPcm: bad nu_std {nu_std}"
-                );
-                assert!(
-                    sigma_prog.is_finite() && sigma_prog >= 0.0,
-                    "DriftingPcm: bad sigma_prog {sigma_prog}"
-                );
-                Box::new(DriftingPcm {
+                for (name, v) in [("nu", nu), ("nu_std", nu_std), ("sigma_prog", sigma_prog)] {
+                    assert!(v.is_finite() && v >= 0.0, "DriftingPcm: bad {name} {v}");
+                }
+                model.additive = None;
+                model.weights = Some(WeightRealization::DriftingPcm {
                     nu,
                     nu_std,
                     sigma_prog,
                     chip_seed: stream_seed,
                     mismatch,
-                    injector,
-                })
+                });
             }
         }
+        model
     }
 }
 
@@ -362,310 +328,35 @@ fn partition_equivalent(vmac: Vmac, spec: PartitionSpec) -> Vmac {
     vmac.with_enob(1.0 - 0.5 * (12.0 * var_conv / (n * n)).log2())
 }
 
-/// A per-layer hardware error model: given a layer's output activations
-/// and its `n_tot` (multiplies per output activation), produce the
-/// additive error — plus the σ hint for metrics and the RNG cursors for
-/// bit-identical training resume (DESIGN.md §9).
-///
-/// Implementations are built per layer by [`ErrorModelConfig::build`];
-/// layer identity enters through the `stream_seed` at build time and the
-/// [`NoiseContext`] handed to every evaluation. Implementors supply the
-/// one required entry point [`ErrorModel::inject_ctx`]; the tensor,
-/// traced, and per-slice call shapes are provided adapters over it.
-pub trait ErrorModel: fmt::Debug + Send {
-    /// Which configuration family built this model.
-    fn kind(&self) -> ErrorModelKind;
-
-    /// The lumped-equivalent σ of the injected error for a layer with
-    /// `n_tot` multiplies per output activation (Eq. 2), used for metrics
-    /// and error budgets. `None` when the model injects nothing (no VMAC
-    /// on this hardware, [`ErrorModelKind::Ideal`], or a weight-domain
-    /// model such as [`ErrorModelKind::DriftingPcm`]). For per-VMAC
-    /// simulation this is the Eq. 2 prediction the simulation is expected
-    /// to match, not a measurement.
-    fn sigma_hint(&self, n_tot: usize) -> Option<f32>;
-
-    /// The single required injection entry point: adds this model's
-    /// additive error to the raw activation slice `acts` in place under
-    /// the given context, advancing the RNG cursor, and returns Welford
-    /// statistics of the injected samples when `trace` is set (an empty
-    /// state otherwise — and tracing must draw the **identical RNG
-    /// stream**, so metrics never perturb results). A model without an
-    /// additive error budget is a no-op. Implementations must not apply
-    /// `ctx.stream` themselves — the provided adapters do.
-    fn inject_ctx(
-        &mut self,
-        ctx: &NoiseContext,
-        acts: &mut [f32],
-        n_tot: usize,
-        trace: bool,
-    ) -> WelfordState;
-
-    /// Adds this model's error to `acts` in place (tensor shape), first
-    /// reseeding at `ctx.stream` when one is set.
-    fn inject(&mut self, ctx: &NoiseContext, acts: &mut Tensor, n_tot: usize) {
-        if let Some(s) = ctx.stream {
-            self.reseed(s);
-        }
-        let _ = self.inject_ctx(ctx, acts.data_mut(), n_tot, false);
-    }
-
-    /// Like [`ErrorModel::inject`], but returns Welford statistics of the
-    /// injected samples for metrics, drawing the identical RNG stream.
-    fn inject_traced(
-        &mut self,
-        ctx: &NoiseContext,
-        acts: &mut Tensor,
-        n_tot: usize,
-    ) -> WelfordState {
-        if let Some(s) = ctx.stream {
-            self.reseed(s);
-        }
-        self.inject_ctx(ctx, acts.data_mut(), n_tot, true)
-    }
-
-    /// [`ErrorModel::inject`] over a raw activation slice: identical draws
-    /// in identical order, so injecting a batched tensor one per-image
-    /// slice at a time (a fresh `ctx.stream` per slice) reproduces a
-    /// sequence of batch-1 `inject` calls bit-exactly: a batch of requests
-    /// gets one noise stream per request.
-    fn inject_slice(&mut self, ctx: &NoiseContext, acts: &mut [f32], n_tot: usize) {
-        if let Some(s) = ctx.stream {
-            self.reseed(s);
-        }
-        let _ = self.inject_ctx(ctx, acts, n_tot, false);
-    }
-
-    /// Applies this model's weight-domain perturbations (static device
-    /// mismatch, programming noise, conductance drift at `ctx.t`),
-    /// returning the perturbed copy, or `None` when the model leaves
-    /// weights untouched. Deterministic per `(chip seed, ctx.layer,
-    /// ctx.t)` and never touches the injection RNG cursor, so layers
-    /// fold it once into their frozen eval weights and refold only when
-    /// the weights or `ctx.t` change.
-    fn realize_weights(&self, weights: &Tensor, ctx: &NoiseContext) -> Option<Tensor>;
-
-    /// Whether [`ErrorModel::realize_weights`] would return a perturbed
-    /// copy. Layers use this to gate the integer GEMM fast path, which
-    /// works on pre-coded weights and cannot apply an f32 perturbation;
-    /// models that perturb keep the f32 kernels.
-    fn perturbs_weights(&self) -> bool {
-        false
-    }
-
-    /// The chunked conversion simulator for models that replace the
-    /// matmul inner loop at eval time ([`ErrorModelKind::PerVmac`]);
-    /// `None` for purely additive models.
-    fn operand_sim(&self) -> Option<VmacSimulator> {
-        None
-    }
-
-    /// Repositions the noise stream at a fresh seed (one per validation
-    /// pass — see `reseed_noise` on the networks).
-    fn reseed(&mut self, stream_seed: u64);
-
-    /// Snapshots every RNG cursor this model owns (always exactly one —
-    /// see the module docs) for a training checkpoint.
-    fn rng_cursors(&self) -> Vec<rng::RngState>;
-
-    /// Repositions the model at previously captured cursors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cursors` does not hold exactly the number of streams
-    /// this model owns.
-    fn restore(&mut self, cursors: &[rng::RngState]);
+/// The additive error a layer injects at its output.
+#[derive(Debug, Clone, Copy)]
+enum AdditiveError {
+    /// The Eq. 2 σ of this converter: the lumped model, and the per-VMAC
+    /// model's training fallback (the chunked converter is not
+    /// differentiable, and the paper trains against the lumped model).
+    Vmac(Vmac),
+    /// Multiplier and ADC budgets (paper §4) folded to one σ.
+    Composite(CompositeError),
 }
 
-/// Shares the single-injector RNG plumbing every implementation repeats.
-macro_rules! impl_single_cursor {
-    () => {
-        fn reseed(&mut self, stream_seed: u64) {
-            self.injector.reseed(stream_seed);
-        }
-
-        fn rng_cursors(&self) -> Vec<rng::RngState> {
-            vec![self.injector.rng_state()]
-        }
-
-        fn restore(&mut self, cursors: &[rng::RngState]) {
-            assert_eq!(
-                cursors.len(),
-                1,
-                "error model owns one RNG stream, got {} cursors",
-                cursors.len()
-            );
-            self.injector.restore_rng_state(&cursors[0]);
-        }
-    };
-}
-
-/// Shares the mismatch-only weight realization of the additive models.
-macro_rules! impl_mismatch_realize {
-    () => {
-        fn realize_weights(&self, weights: &Tensor, ctx: &NoiseContext) -> Option<Tensor> {
-            self.mismatch.map(|m| m.apply(weights, ctx.layer))
-        }
-
-        fn perturbs_weights(&self) -> bool {
-            self.mismatch.is_some()
-        }
-    };
-}
-
-/// Injects additive Gaussian error at the hinted σ — the shared
-/// [`ErrorModel::inject_ctx`] body of every lumped-style model.
-fn inject_gaussian(
-    injector: &mut GaussianInjector,
-    sigma: Option<f32>,
-    acts: &mut [f32],
-    trace: bool,
-) -> WelfordState {
-    match sigma {
-        Some(s) => injector.inject_sigma_slice(acts, s, trace),
-        None => WelfordState::new(),
-    }
-}
-
-/// No injected error; still carries the optional mismatch overlay and an
-/// (unused) RNG stream so checkpoints keep one cursor per layer.
-#[derive(Debug)]
-pub struct IdealModel {
-    mismatch: Option<MismatchModel>,
-    injector: GaussianInjector,
-}
-
-impl ErrorModel for IdealModel {
-    fn kind(&self) -> ErrorModelKind {
-        ErrorModelKind::Ideal
-    }
-
-    fn sigma_hint(&self, _n_tot: usize) -> Option<f32> {
-        None
-    }
-
-    fn inject_ctx(
-        &mut self,
-        _ctx: &NoiseContext,
-        _acts: &mut [f32],
-        _n_tot: usize,
-        _trace: bool,
-    ) -> WelfordState {
-        WelfordState::new()
-    }
-
-    impl_mismatch_realize!();
-    impl_single_cursor!();
-}
-
-/// The paper's main method: one additive Gaussian per output activation
-/// at the Eq. 2 σ. Bit-identical — same σ arithmetic, same RNG stream —
-/// to the pre-trait `GaussianInjector` wiring.
-#[derive(Debug)]
-pub struct LumpedGaussian {
-    vmac: Option<Vmac>,
-    mismatch: Option<MismatchModel>,
-    injector: GaussianInjector,
-}
-
-impl ErrorModel for LumpedGaussian {
-    fn kind(&self) -> ErrorModelKind {
-        ErrorModelKind::Lumped
-    }
-
-    fn sigma_hint(&self, n_tot: usize) -> Option<f32> {
-        self.vmac.map(|v| layer_error_sigma(&v, n_tot))
-    }
-
-    fn inject_ctx(
-        &mut self,
-        _ctx: &NoiseContext,
-        acts: &mut [f32],
-        n_tot: usize,
-        trace: bool,
-    ) -> WelfordState {
-        let sigma = self.sigma_hint(n_tot);
-        inject_gaussian(&mut self.injector, sigma, acts, trace)
-    }
-
-    impl_mismatch_realize!();
-    impl_single_cursor!();
-}
-
-/// Multiplier + ADC budgets (paper §4) folded to a single Gaussian at the
-/// combined σ of [`CompositeError`].
-#[derive(Debug)]
-pub struct CompositeModel {
-    composite: Option<CompositeError>,
-    mismatch: Option<MismatchModel>,
-    injector: GaussianInjector,
-}
-
-impl ErrorModel for CompositeModel {
-    fn kind(&self) -> ErrorModelKind {
-        ErrorModelKind::Composite
-    }
-
-    fn sigma_hint(&self, n_tot: usize) -> Option<f32> {
-        self.composite
-            .as_ref()
-            .map(|c| checked_sigma_f32(c.total_error_sigma(n_tot), "composite"))
-    }
-
-    fn inject_ctx(
-        &mut self,
-        _ctx: &NoiseContext,
-        acts: &mut [f32],
-        n_tot: usize,
-        trace: bool,
-    ) -> WelfordState {
-        let sigma = self.sigma_hint(n_tot);
-        inject_gaussian(&mut self.injector, sigma, acts, trace)
-    }
-
-    impl_mismatch_realize!();
-    impl_single_cursor!();
-}
-
-/// Chunked per-conversion simulation at eval time (paper §4). Training
-/// passes fall back to the lumped Gaussian — the chunked converter is not
-/// differentiable, and the paper trains against the lumped model anyway.
-/// An operand partition, when configured, is folded into the conversion
-/// ENOB at build time (see [`PartitionSpec`]).
-#[derive(Debug)]
-pub struct PerVmacSim {
-    vmac: Option<Vmac>,
-    behavior: AdcBehavior,
-    mismatch: Option<MismatchModel>,
-    injector: GaussianInjector,
-}
-
-impl ErrorModel for PerVmacSim {
-    fn kind(&self) -> ErrorModelKind {
-        ErrorModelKind::PerVmac
-    }
-
-    fn sigma_hint(&self, n_tot: usize) -> Option<f32> {
-        self.vmac.map(|v| layer_error_sigma(&v, n_tot))
-    }
-
-    fn inject_ctx(
-        &mut self,
-        _ctx: &NoiseContext,
-        acts: &mut [f32],
-        n_tot: usize,
-        trace: bool,
-    ) -> WelfordState {
-        let sigma = self.sigma_hint(n_tot);
-        inject_gaussian(&mut self.injector, sigma, acts, trace)
-    }
-
-    fn operand_sim(&self) -> Option<VmacSimulator> {
-        self.vmac.map(|v| VmacSimulator::new(v, self.behavior))
-    }
-
-    impl_mismatch_realize!();
-    impl_single_cursor!();
+/// How the weights a layer computes with differ from its programmed ones.
+#[derive(Debug, Clone, Copy)]
+enum WeightRealization {
+    /// Static device mismatch.
+    Mismatch(MismatchModel),
+    /// PCM-style storage: weight `i` is realized as
+    /// `w_i · (1 + σ_prog·g1_i) · (t/t0)^(−ν_i)` with `ν_i = ν + ν_std·g2_i`,
+    /// both Gaussians drawn per `(chip seed, layer)`: the chip is
+    /// programmed once, so like [`MismatchModel`] the draw is a device
+    /// property, invariant under `reseed`. At `t = t0` the drift factor is
+    /// exactly 1. Mismatch, when set, applies first.
+    DriftingPcm {
+        nu: f64,
+        nu_std: f64,
+        sigma_prog: f64,
+        chip_seed: u64,
+        mismatch: Option<MismatchModel>,
+    },
 }
 
 /// SplitMix-style mix of the chip seed and a layer index — the same
@@ -677,85 +368,160 @@ fn drift_layer_seed(chip_seed: u64, layer: u64) -> u64 {
     z ^ (z >> 29)
 }
 
-/// PCM-style weight storage: write-time programming noise plus per-weight
-/// conductance drift.
-///
-/// Each weight is realized as
-/// `w_i · (1 + σ_prog·g1_i) · (t/t0)^(−ν_i)` with `ν_i = ν + ν_std·g2_i`,
-/// both Gaussians drawn deterministically per `(chip seed, layer)` — the
-/// chip is programmed once, so the draw is a *device* property like
-/// [`MismatchModel`], invariant under `reseed` and identical for every
-/// request a server answers. At `t = t0` the drift factor is exactly 1
-/// and the model reduces bitwise to programming noise only.
-///
-/// A weight-domain model: [`ErrorModel::sigma_hint`] is `None`, injection
-/// is a no-op, and [`ErrorModel::perturbs_weights`] routes layers onto
-/// the f32 reference path. Layers fold the realization at their current
-/// inference time into their frozen eval weights and rebuild them when
-/// the time changes.
+/// One layer's hardware error model, built by [`ErrorModelConfig::build`]:
+/// the additive error at its output, the chunked conversion simulator
+/// that replaces its GEMM at eval time (per-VMAC), the weight-domain
+/// realization, and the one noise stream the additive error draws from.
 #[derive(Debug)]
-pub struct DriftingPcm {
-    nu: f64,
-    nu_std: f64,
-    sigma_prog: f64,
-    chip_seed: u64,
-    mismatch: Option<MismatchModel>,
+pub struct LayerError {
+    kind: ErrorModelKind,
+    additive: Option<AdditiveError>,
+    operand_sim: Option<VmacSimulator>,
+    weights: Option<WeightRealization>,
     injector: GaussianInjector,
 }
 
-impl ErrorModel for DriftingPcm {
-    fn kind(&self) -> ErrorModelKind {
-        ErrorModelKind::DriftingPcm
+// GEMM workers may share one layer's model: a non-`Send + Sync` field fails here.
+const _: () = {
+    const fn shareable<T: Send + Sync>() {}
+    shareable::<LayerError>()
+};
+
+impl LayerError {
+    /// Which configuration family built this model (metric keys).
+    pub fn kind(&self) -> ErrorModelKind {
+        self.kind
     }
 
-    fn sigma_hint(&self, _n_tot: usize) -> Option<f32> {
-        None
+    /// The σ of the additive error for a layer with `n_tot` multiplies
+    /// per output activation (Eq. 2), narrowed to `f32` with a loud
+    /// warning when it underflows; `None` when the model adds nothing.
+    /// Layers call it once, at build: `n_tot` is fixed per layer.
+    pub fn sigma(&self, n_tot: usize) -> Option<f32> {
+        Some(match self.additive? {
+            AdditiveError::Vmac(v) => layer_error_sigma(&v, n_tot),
+            AdditiveError::Composite(c) => {
+                checked_sigma_f32(c.total_error_sigma(n_tot), "composite")
+            }
+        })
     }
 
-    fn inject_ctx(
+    /// Adds `N(0, σ²)` to `acts` in place, first reseeding at
+    /// `ctx.stream` when one is set; `sigma` is the layer's
+    /// [`LayerError::sigma`]. With `trace` set it returns Welford
+    /// statistics of the injected samples, drawing the **identical RNG
+    /// stream**; an empty state otherwise.
+    pub fn inject(
         &mut self,
-        _ctx: &NoiseContext,
-        _acts: &mut [f32],
-        _n_tot: usize,
-        _trace: bool,
+        ctx: &NoiseContext,
+        acts: &mut [f32],
+        sigma: Option<f32>,
+        trace: bool,
     ) -> WelfordState {
-        WelfordState::new()
-    }
-
-    fn realize_weights(&self, weights: &Tensor, ctx: &NoiseContext) -> Option<Tensor> {
-        assert!(
-            ctx.t.is_finite() && ctx.t > 0.0,
-            "DriftingPcm: inference time must be positive and finite, got {}",
-            ctx.t
-        );
-        let mut realized = match self.mismatch {
-            Some(m) => m.apply(weights, ctx.layer),
-            None => weights.clone(),
-        };
-        // Two draws per weight, in stream order: g1 (programming noise),
-        // then g2 (drift-exponent spread).
-        let mut draws = vec![0.0f32; 2 * realized.len()];
-        let mut r = rng::seeded(drift_layer_seed(self.chip_seed, ctx.layer));
-        rng::fill_standard_normal(&mut r, &mut draws);
-        let sigma_prog = self.sigma_prog as f32;
-        let ratio = ctx.t / DRIFT_T0;
-        for (w, g) in realized.data_mut().iter_mut().zip(draws.chunks_exact(2)) {
-            let (g1, g2) = (g[0], g[1]);
-            let nu_i = self.nu + self.nu_std * f64::from(g2);
-            // `1.0.powf(x)` is exactly 1, so t = t0 reduces bitwise to
-            // programming noise only; guard anyway so the reduction never
-            // hinges on a libm edge case.
-            let drift = if ratio == 1.0 { 1.0 } else { ratio.powf(-nu_i) };
-            *w *= (1.0 + sigma_prog * g1) * drift as f32;
+        if let Some(s) = ctx.stream {
+            self.injector.reseed(s);
         }
-        Some(realized)
+        match sigma {
+            Some(s) => self.injector.inject_sigma_slice(acts, s, trace),
+            None => WelfordState::new(),
+        }
     }
 
-    fn perturbs_weights(&self) -> bool {
-        true
+    /// The weights perturbed by device mismatch, programming noise and
+    /// conductance drift at `ctx.t`, or `None` when the model stores them
+    /// exactly. Deterministic per `(chip seed, ctx.layer, ctx.t)` and
+    /// never touches the noise stream, so layers fold it once into their
+    /// frozen eval weights.
+    pub fn realize_weights(&self, weights: &Tensor, ctx: &NoiseContext) -> Option<Tensor> {
+        match self.weights? {
+            WeightRealization::Mismatch(m) => Some(m.apply(weights, ctx.layer)),
+            WeightRealization::DriftingPcm {
+                nu,
+                nu_std,
+                sigma_prog,
+                chip_seed,
+                mismatch,
+            } => {
+                assert!(
+                    ctx.t.is_finite() && ctx.t > 0.0,
+                    "DriftingPcm: inference time must be positive and finite, got {}",
+                    ctx.t
+                );
+                let mut realized = match mismatch {
+                    Some(m) => m.apply(weights, ctx.layer),
+                    None => weights.clone(),
+                };
+                // Two draws per weight, in stream order: g1 (programming
+                // noise), then g2 (drift-exponent spread).
+                let mut draws = vec![0.0f32; 2 * realized.len()];
+                let mut r = rng::seeded(drift_layer_seed(chip_seed, ctx.layer));
+                rng::fill_standard_normal(&mut r, &mut draws);
+                let sigma_prog = sigma_prog as f32;
+                let ratio = ctx.t / DRIFT_T0;
+                for (w, g) in realized.data_mut().iter_mut().zip(draws.chunks_exact(2)) {
+                    let (g1, g2) = (g[0], g[1]);
+                    let nu_i = nu + nu_std * f64::from(g2);
+                    // `1.0.powf(x)` is exactly 1, so t = t0 reduces bitwise
+                    // to programming noise only; guard anyway so the
+                    // reduction never hinges on a libm edge case.
+                    let drift = if ratio == 1.0 { 1.0 } else { ratio.powf(-nu_i) };
+                    *w *= (1.0 + sigma_prog * g1) * drift as f32;
+                }
+                Some(realized)
+            }
+        }
     }
 
-    impl_single_cursor!();
+    /// Whether [`LayerError::realize_weights`] perturbs. Such layers
+    /// keep the f32 kernels: the integer GEMM works on pre-coded weights.
+    pub fn perturbs_weights(&self) -> bool {
+        self.weights.is_some()
+    }
+
+    /// The chunked conversion simulator that replaces the GEMM at eval
+    /// time (per-VMAC with a VMAC), any partition folded in.
+    pub fn operand_sim(&self) -> Option<VmacSimulator> {
+        self.operand_sim
+    }
+
+    /// Repositions the noise stream at a fresh seed (one per validation
+    /// pass — see `reseed_noise` on the networks).
+    pub fn reseed(&mut self, stream_seed: u64) {
+        self.injector.reseed(stream_seed);
+    }
+
+    /// The noise stream's cursor, for a training checkpoint.
+    pub fn noise_state(&self) -> rng::RngState {
+        self.injector.rng_state()
+    }
+
+    /// Repositions the noise stream at a captured cursor.
+    pub fn restore_noise_state(&mut self, state: &rng::RngState) {
+        self.injector.restore_rng_state(state);
+    }
+}
+
+/// The call shape of `ams_bench`'s layer replay, its only user. The
+/// benchmark change that retires the replay (ROADMAP item 1) deletes it
+/// and `HardwareConfig::build_error_model`.
+pub trait ErrorModel {
+    /// Adds the error of a layer with `n_tot` multiplies per output
+    /// activation to `acts`, first reseeding at `ctx.stream` when set.
+    fn inject(&mut self, ctx: &NoiseContext, acts: &mut Tensor, n_tot: usize);
+
+    /// [`ErrorModel::inject`] over a raw activation slice.
+    fn inject_slice(&mut self, ctx: &NoiseContext, acts: &mut [f32], n_tot: usize);
+}
+
+impl ErrorModel for LayerError {
+    fn inject(&mut self, ctx: &NoiseContext, acts: &mut Tensor, n_tot: usize) {
+        self.inject_slice(ctx, acts.data_mut(), n_tot);
+    }
+
+    fn inject_slice(&mut self, ctx: &NoiseContext, acts: &mut [f32], n_tot: usize) {
+        let sigma = self.sigma(n_tot);
+        LayerError::inject(self, ctx, acts, sigma, false);
+    }
 }
 
 #[cfg(test)]
@@ -804,9 +570,8 @@ mod tests {
 
     #[test]
     fn lumped_matches_raw_injector_bitwise() {
-        // The tentpole's bit-identity contract: LumpedGaussian with the
-        // same stream seed produces byte-identical activations to the
-        // pre-trait GaussianInjector path.
+        // The lumped model with the same stream seed produces
+        // byte-identical activations to a bare GaussianInjector.
         let vmac = Vmac::new(8, 8, 8, 9.0);
         let n_tot = 576;
         let seed = 0xC0FFEE;
@@ -816,14 +581,15 @@ mod tests {
         legacy.inject_sigma(&mut a, layer_error_sigma(&vmac, n_tot));
 
         let mut model = ErrorModelConfig::Lumped.build(Some(vmac), None, seed);
+        let sigma = model.sigma(n_tot);
         let mut b = Tensor::zeros(&[2, 4, 6, 6]);
-        model.inject(&ctx, &mut b, n_tot);
+        model.inject(&ctx, b.data_mut(), sigma, false);
         assert_eq!(a, b);
 
         // Traced injection draws the identical stream.
         let mut traced = ErrorModelConfig::Lumped.build(Some(vmac), None, seed);
         let mut c = Tensor::zeros(&[2, 4, 6, 6]);
-        let stats = traced.inject_traced(&ctx, &mut c, n_tot);
+        let stats = traced.inject(&ctx, c.data_mut(), sigma, true);
         assert_eq!(a, c);
         assert_eq!(stats.count, a.len() as u64);
     }
@@ -832,12 +598,14 @@ mod tests {
     fn ideal_injects_nothing_but_keeps_one_cursor() {
         let ctx = NoiseContext::eval(0);
         let mut model = ErrorModelConfig::Ideal.build(Some(Vmac::default()), None, 7);
+        let sigma = model.sigma(64);
         let mut t = Tensor::ones(&[3, 3]);
-        model.inject(&ctx, &mut t, 64);
+        model.inject(&ctx, t.data_mut(), sigma, false);
         assert_eq!(t, Tensor::ones(&[3, 3]));
-        assert!(model.sigma_hint(64).is_none());
-        assert!(model.inject_traced(&ctx, &mut t, 64).is_empty());
-        assert_eq!(model.rng_cursors().len(), 1);
+        assert!(sigma.is_none());
+        assert!(model.inject(&ctx, t.data_mut(), sigma, true).is_empty());
+        // The one cursor is the layer's seeded stream, untouched.
+        assert_eq!(model.noise_state(), GaussianInjector::new(7).rng_state());
     }
 
     #[test]
@@ -849,7 +617,7 @@ mod tests {
         }
         .build(Some(vmac), None, 1);
         let expect = CompositeError::new(vmac, sigma_m).total_error_sigma(512) as f32;
-        assert_eq!(model.sigma_hint(512), Some(expect));
+        assert_eq!(model.sigma(512), Some(expect));
         assert!(model.operand_sim().is_none());
     }
 
@@ -860,7 +628,7 @@ mod tests {
         let sim = model.operand_sim().expect("per-VMAC exposes a simulator");
         assert_eq!(*sim.vmac(), vmac);
         assert_eq!(sim.behavior(), AdcBehavior::Quantizing);
-        assert_eq!(model.sigma_hint(512), Some(layer_error_sigma(&vmac, 512)));
+        assert_eq!(model.sigma(512), Some(layer_error_sigma(&vmac, 512)));
     }
 
     #[test]
@@ -961,15 +729,17 @@ mod tests {
             let mut model = ErrorModelConfig::Lumped.build(Some(vmac), None, 0);
             model.reseed(s);
             let mut t = Tensor::zeros(&[1, 4, 6, 6]);
-            model.inject(&NoiseContext::eval(0), &mut t, n_tot);
+            let sigma = model.sigma(n_tot);
+            model.inject(&NoiseContext::eval(0), t.data_mut(), sigma, false);
             offline.extend_from_slice(t.data());
         }
 
         let mut batched = Tensor::zeros(&[3, 4, 6, 6]);
         let mut model = ErrorModelConfig::Lumped.build(Some(vmac), None, 0);
+        let sigma = model.sigma(n_tot);
         for (i, chunk) in batched.data_mut().chunks_mut(per_image).enumerate() {
             let ctx = NoiseContext::eval(0).with_stream(seeds[i]);
-            model.inject_slice(&ctx, chunk, n_tot);
+            model.inject(&ctx, chunk, sigma, false);
         }
         assert_eq!(batched.data(), &offline[..]);
     }
@@ -979,18 +749,19 @@ mod tests {
         let vmac = Vmac::new(8, 8, 8, 9.0);
         let ctx = NoiseContext::eval(0);
         let mut model = ErrorModelConfig::Lumped.build(Some(vmac), None, 5);
-        let cursors = model.rng_cursors();
+        let sigma = model.sigma(64);
+        let cursor = model.noise_state();
         let mut a = Tensor::zeros(&[8, 8]);
-        model.inject(&ctx, &mut a, 64);
+        model.inject(&ctx, a.data_mut(), sigma, false);
         // Restoring the captured cursor replays the identical noise.
-        model.restore(&cursors);
+        model.restore_noise_state(&cursor);
         let mut b = Tensor::zeros(&[8, 8]);
-        model.inject(&ctx, &mut b, 64);
+        model.inject(&ctx, b.data_mut(), sigma, false);
         assert_eq!(a, b);
         // Reseeding to the original seed does too.
         model.reseed(5);
         let mut c = Tensor::zeros(&[8, 8]);
-        model.inject(&ctx, &mut c, 64);
+        model.inject(&ctx, c.data_mut(), sigma, false);
         assert_eq!(a, c);
     }
 
@@ -1061,15 +832,17 @@ mod tests {
     #[test]
     fn drifting_pcm_is_weight_domain_only() {
         let ctx = NoiseContext::eval(0);
-        let mut model = ErrorModelConfig::drifting_pcm(0.06).build(None, None, 1);
-        assert!(model.sigma_hint(512).is_none());
+        // Even with a VMAC, drift adds nothing at the output.
+        let vmac = Vmac::new(8, 8, 8, 9.0);
+        let mut model = ErrorModelConfig::drifting_pcm(0.06).build(Some(vmac), None, 1);
+        assert!(model.sigma(512).is_none());
         assert!(model.perturbs_weights(), "drift must gate off the i8 path");
         let mut t = Tensor::ones(&[4, 4]);
-        model.inject(&ctx, &mut t, 64);
+        model.inject(&ctx, t.data_mut(), model.sigma(64), false);
         assert_eq!(t, Tensor::ones(&[4, 4]), "no additive injection");
         assert_eq!(
-            model.rng_cursors().len(),
-            1,
+            model.noise_state(),
+            GaussianInjector::new(1).rng_state(),
             "keeps the one-cursor contract"
         );
     }

@@ -37,17 +37,22 @@ impl std::fmt::Display for SigmaUnderflow {
 
 impl std::error::Error for SigmaUnderflow {}
 
-/// Narrows a model σ to `f32` for activation tensors, warning **loudly**
-/// on stderr when a positive f64 σ flushes to zero or subnormal (at very
-/// high ENOB × small `n_tot` the Eq. 2 σ can drop below f32's smallest
-/// normal, and silently injecting zero noise would fake a perfect
-/// accelerator).
-pub(crate) fn checked_sigma_f32(sigma: f64, what: &str) -> f32 {
+/// Narrows a model σ to `f32`, refusing one that underflows (very high
+/// ENOB × small `n_tot`): zero noise would fake a perfect accelerator.
+fn narrow_sigma(sigma: f64) -> Result<f32, SigmaUnderflow> {
     let narrowed = sigma as f32;
     if sigma > 0.0 && (narrowed == 0.0 || narrowed.is_subnormal()) {
-        eprintln!("warning: {what}: {}", SigmaUnderflow { sigma, narrowed });
+        return Err(SigmaUnderflow { sigma, narrowed });
     }
-    narrowed
+    Ok(narrowed)
+}
+
+/// [`narrow_sigma`] that warns **loudly** on stderr instead of refusing.
+pub(crate) fn checked_sigma_f32(sigma: f64, what: &str) -> f32 {
+    narrow_sigma(sigma).unwrap_or_else(|e| {
+        eprintln!("warning: {what}: {e}");
+        e.narrowed
+    })
 }
 
 /// Standard deviation of the lumped error for a layer needing `n_tot`
@@ -78,18 +83,11 @@ pub fn layer_error_sigma(vmac: &Vmac, n_tot: usize) -> f32 {
 ///
 /// Panics if `n_tot == 0`.
 pub fn layer_error_sigma_checked(vmac: &Vmac, n_tot: usize) -> Result<f32, SigmaUnderflow> {
-    let sigma = vmac.total_error_sigma(n_tot);
-    let narrowed = sigma as f32;
-    if sigma > 0.0 && (narrowed == 0.0 || narrowed.is_subnormal()) {
-        return Err(SigmaUnderflow { sigma, narrowed });
-    }
-    Ok(narrowed)
+    narrow_sigma(vmac.total_error_sigma(n_tot))
 }
 
-/// A seeded source of additive Gaussian error.
-///
-/// One injector is shared across all layers of a network so that a single
-/// seed reproduces an entire noisy evaluation.
+/// A seeded source of additive Gaussian error: one per analog layer, so
+/// one seed per layer reproduces its noise.
 ///
 /// # Example
 ///
@@ -137,16 +135,12 @@ impl GaussianInjector {
     }
 
     /// [`GaussianInjector::inject_sigma`] over a raw slice — the same
-    /// draws in the same order, so injecting a tensor's per-image slices
-    /// one at a time (reseeding in between) reproduces what a sequence of
-    /// batch-1 `inject_sigma` calls would produce, so a batch of requests
-    /// stays bit-identical to offline batch-1 evaluation.
+    /// draws in the same order, so per-image slices injected one at a
+    /// time (reseeding in between) reproduce batch-1 `inject_sigma` calls.
     ///
-    /// With `trace` set, the injected error samples are also summarized
-    /// into the returned [`WelfordState`] for metrics reporting. Tracing
-    /// draws the **identical RNG stream**, so switching it on or off never
-    /// perturbs the noisy activations, only whether their statistics are
-    /// observed. A non-positive σ, or `trace` unset, returns an empty
+    /// With `trace` set, the injected samples are also summarized into
+    /// the returned [`WelfordState`], drawing the **identical RNG
+    /// stream**; a non-positive σ, or `trace` unset, returns an empty
     /// state.
     pub fn inject_sigma_slice(
         &mut self,

@@ -57,7 +57,7 @@ pub mod vmac_sim;
 
 pub use energy::{adc_energy_pj, mac_energy_fj, mac_energy_pj};
 pub use error_model::{
-    ErrorModel, ErrorModelConfig, ErrorModelKind, NoiseContext, PartitionSpec, DRIFT_T0,
+    ErrorModelConfig, ErrorModelKind, LayerError, NoiseContext, PartitionSpec, DRIFT_T0,
 };
 pub use inject::GaussianInjector;
 pub use tradeoff::{AccuracyCurve, DesignPoint, TradeoffGrid};

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use ams_core::error_model::{ErrorModel, NoiseContext, DRIFT_T0};
+use ams_core::error_model::{LayerError, NoiseContext, DRIFT_T0};
 use ams_core::vmac_sim::VmacSimulator;
 use ams_nn::{Mode, Param};
 use ams_quant::{build_quantizer, QuantizedI8, Quantizer};
@@ -71,7 +71,7 @@ pub(crate) trait GemmGeometry {
 
 /// One analog layer's GEMM: the paper's quantized layer (Fig. 3) with
 /// shadow FP32 weights quantized to `B_W` bits, inputs quantized to `B_X`
-/// bits, and the error of the configured [`ErrorModel`] added to the
+/// bits, and the error of the configured [`LayerError`] added to the
 /// output — in the forward pass only; gradients reach the shadow weight
 /// through the straight-through estimator.
 ///
@@ -88,7 +88,8 @@ pub struct AnalogGemm {
     hw: HardwareConfig,
     layer_index: u64,
     is_last: bool,
-    model: Box<dyn ErrorModel>,
+    model: LayerError,
+    sigma: Option<f32>,
     ste_scale: Option<Tensor>,
     frozen: Option<Arc<FrozenLayerWeights>>,
     request_seeds: Option<(Arc<Vec<u64>>, u64)>,
@@ -115,8 +116,12 @@ impl AnalogGemm {
         is_last: bool,
     ) -> Self {
         let n_tot = weight.value.len() / weight.value.dims()[0];
+        let model = hw.layer_error(layer_index);
         AnalogGemm {
-            model: hw.build_error_model(layer_index),
+            // σ depends only on `n_tot`, so an underflow warns once per
+            // layer, not once per forward.
+            sigma: model.sigma(n_tot),
+            model,
             quantizer: build_quantizer(hw.quant, hw.scheme),
             name,
             weight,
@@ -170,12 +175,12 @@ impl AnalogGemm {
     /// The lumped-equivalent σ of the error this layer injects per output
     /// element (`None` when the configured error model injects nothing).
     pub fn error_sigma(&self) -> Option<f32> {
-        self.model.sigma_hint(self.n_tot)
+        self.sigma
     }
 
     /// The live error model realizing this layer's hardware error budget.
-    pub fn error_model(&self) -> &dyn ErrorModel {
-        self.model.as_ref()
+    pub fn error_model(&self) -> &LayerError {
+        &self.model
     }
 
     /// Reseeds the AMS noise stream (fresh noise per validation pass).
@@ -185,16 +190,12 @@ impl AnalogGemm {
 
     /// The current cursor of this layer's noise stream (checkpoint/resume).
     pub fn noise_state(&self) -> RngState {
-        self.model
-            .rng_cursors()
-            .into_iter()
-            .next()
-            .expect("every error model owns one RNG stream")
+        self.model.noise_state()
     }
 
     /// Repositions the noise stream at a captured cursor.
     pub fn restore_noise_state(&mut self, state: &RngState) {
-        self.model.restore(std::slice::from_ref(state));
+        self.model.restore_noise_state(state);
     }
 
     /// Builds this layer's eval weights from the current shadow weights at
@@ -411,12 +412,7 @@ impl AnalogGemm {
         };
         // One context per forward: every error-model evaluation below
         // (training's weight realization, injection) happens under it.
-        let noise_ctx = NoiseContext {
-            t: self.t_infer,
-            train,
-            layer: self.layer_index,
-            stream: None,
-        };
+        let noise_ctx = NoiseContext::eval(self.layer_index).at_time(self.t_infer);
         let (mut y, new_cache) = if train {
             let qw = self.quantizer.quantize_weights_in(ws, &self.weight.value);
             let wmat = self
@@ -470,7 +466,7 @@ impl AnalogGemm {
 
     /// Adds the AMS error to a forward's output.
     fn inject(&mut self, ctx: &ExecCtx, noise_ctx: &NoiseContext, y: &mut Tensor, train: bool) {
-        let n_tot = self.n_tot;
+        let sigma = self.sigma;
         match self.request_seeds.as_ref().filter(|_| !train) {
             Some((seeds, noise_index)) => {
                 // Per-request noise streams: image `i` draws the exact
@@ -489,13 +485,14 @@ impl AnalogGemm {
                 let per_image = y.len() / n;
                 for (chunk, &seed) in y.data_mut().chunks_mut(per_image).zip(seeds.iter()) {
                     let slice_ctx = noise_ctx.with_stream(noise_stream_seed(seed, *noise_index));
-                    self.model.inject_slice(&slice_ctx, chunk, n_tot);
+                    self.model.inject(&slice_ctx, chunk, sigma, false);
                 }
             }
-            None if ctx.metrics().enabled() => {
+            None => {
                 // Traced injection draws the identical RNG stream, so the
                 // noisy activations are bit-identical with metrics on or off.
-                let stats = self.model.inject_traced(noise_ctx, y, n_tot);
+                let trace = ctx.metrics().enabled();
+                let stats = self.model.inject(noise_ctx, y.data_mut(), sigma, trace);
                 if !stats.is_empty() {
                     let enob = self.hw.vmac.expect("injects() implies a VMAC").enob;
                     // Key by scenario and ENOB: sweeps (Fig. 4/5) drive
@@ -507,7 +504,6 @@ impl AnalogGemm {
                     );
                 }
             }
-            None => self.model.inject(noise_ctx, y, n_tot),
         }
     }
 

@@ -1,6 +1,6 @@
 //! The hardware description applied to a network.
 
-use ams_core::error_model::{ErrorModel, ErrorModelConfig, ErrorModelKind};
+use ams_core::error_model::{ErrorModel, ErrorModelConfig, ErrorModelKind, LayerError};
 use ams_core::mismatch::MismatchModel;
 use ams_core::vmac::Vmac;
 use ams_quant::{QuantConfig, QuantScheme, WeightScheme};
@@ -135,15 +135,21 @@ impl HardwareConfig {
         self
     }
 
-    /// Builds the live per-layer error model for the layer at
-    /// `layer_index`, seeding its noise stream from this config's master
-    /// seed exactly as the pre-trait injector wiring did.
-    pub fn build_error_model(&self, layer_index: u64) -> Box<dyn ErrorModel> {
+    /// Builds the live error model for the layer at `layer_index`,
+    /// seeding its noise stream from this config's master seed.
+    pub fn layer_error(&self, layer_index: u64) -> LayerError {
         self.error_model.build(
             self.vmac,
             self.mismatch,
             noise_stream_seed(self.noise_seed, layer_index),
         )
+    }
+
+    /// [`HardwareConfig::layer_error`] behind the [`ErrorModel`] shim.
+    /// Only `ams_bench`'s layer replay calls it; the benchmark change
+    /// that retires the replay (ROADMAP item 1) deletes it with the trait.
+    pub fn build_error_model(&self, layer_index: u64) -> Box<dyn ErrorModel> {
+        Box::new(self.layer_error(layer_index))
     }
 
     /// Returns a copy with static device mismatch applied to the realized
@@ -233,15 +239,15 @@ mod tests {
         use ams_core::error_model::ErrorModelKind;
         let hw = HardwareConfig::ams(QuantConfig::w8a8(), Vmac::default());
         assert_eq!(hw.error_model, ErrorModelConfig::Lumped);
-        assert_eq!(hw.build_error_model(0).kind(), ErrorModelKind::Lumped);
+        assert_eq!(hw.layer_error(0).kind(), ErrorModelKind::Lumped);
 
         let pv = hw.with_per_vmac_eval();
         assert_eq!(pv.error_model, ErrorModelConfig::per_vmac());
-        let model = pv.build_error_model(3);
+        let model = pv.layer_error(3);
         assert_eq!(model.kind(), ErrorModelKind::PerVmac);
         assert!(model.operand_sim().is_some());
 
         let ideal = hw.with_error_model(ErrorModelConfig::Ideal);
-        assert!(ideal.build_error_model(0).sigma_hint(64).is_none());
+        assert!(ideal.layer_error(0).sigma(64).is_none());
     }
 }

@@ -51,7 +51,7 @@ mod resnet;
 mod spec;
 pub mod surgery;
 
-pub use ams_core::error_model::{ErrorModel, ErrorModelConfig, ErrorModelKind};
+pub use ams_core::error_model::{ErrorModelConfig, ErrorModelKind, LayerError};
 pub use analog::AnalogGemm;
 pub use block::BasicBlock;
 pub use config::{HardwareConfig, InputKind};
