@@ -12,6 +12,11 @@
 //! error model, the i8 kernel or the CSV formatting shows up here as a
 //! diff.
 //!
+//! Each test also pins the sorted names of every file its run leaves in
+//! its results directory (`tests/golden/artifact_names_*.txt`): the CSV
+//! goldens cannot see a renamed cache key or journal, and a renamed key
+//! silently orphans every checkpoint cached under the old name.
+//!
 //! To regenerate after an intentional change:
 //!
 //! ```text
@@ -57,6 +62,36 @@ fn check_goldens(work: &Path, names: &[String]) {
     }
 }
 
+/// Compares (or, under `UPDATE_GOLDEN`, rewrites) the sorted names of
+/// the files in `work` against `tests/golden/artifact_names_{tag}.txt`.
+fn check_artifact_names(work: &Path, tag: &str) {
+    let mut names: Vec<String> = std::fs::read_dir(work)
+        .unwrap_or_else(|e| panic!("cannot list {}: {e}", work.display()))
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let produced: String = names.iter().map(|n| format!("{n}\n")).collect();
+    let golden_path = golden_dir().join(format!("artifact_names_{tag}.txt"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&golden_path, &produced).unwrap();
+        eprintln!("updated golden {}", golden_path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {}: {e}; generate it with UPDATE_GOLDEN=1",
+            golden_path.display()
+        )
+    });
+    assert_eq!(
+        produced,
+        golden,
+        "the artifact names in {} drifted from the committed list; a renamed \
+         cache key orphans every checkpoint cached under the old name",
+        work.display()
+    );
+}
+
 #[test]
 fn table1_and_fig4_csvs_match_goldens() {
     let work = std::env::temp_dir().join("ams_exp_golden_reports_test");
@@ -75,6 +110,7 @@ fn table1_and_fig4_csvs_match_goldens() {
         .map(|stem| format!("{stem}_test.csv"))
         .collect();
     check_goldens(&work, &names);
+    check_artifact_names(&work, "table1_fig4_figd");
     let _ = std::fs::remove_dir_all(work);
 }
 
@@ -93,6 +129,7 @@ fn fig4_i8_csv_matches_golden() {
         &work,
         &["fig4_test_resnet-mini-dorefa-lumped-i8.csv".to_string()],
     );
+    check_artifact_names(&work, "fig4_i8");
     let _ = std::fs::remove_dir_all(work);
 }
 
@@ -128,5 +165,6 @@ fn scenario_path_csvs_match_goldens() {
         names.push(format!("fig4_{scale_name}.csv"));
     }
     check_goldens(&work, &names);
+    check_artifact_names(&work, "scenarios");
     let _ = std::fs::remove_dir_all(work);
 }
