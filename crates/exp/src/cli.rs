@@ -416,27 +416,33 @@ fn assemble_quant_scheme(name: &str, bfp_block: Option<usize>) -> Result<QuantSc
 }
 
 /// Parses an `--adc` value: `ideal`, `quantizing`, `delta-sigma[:BITS]`
-/// (extra final-conversion bits, default 2), or `ref-scaled:ALPHA`.
+/// (extra final-conversion bits, finite and ≥ 0, default 2), or
+/// `ref-scaled:ALPHA` (ALPHA in (0, 1]) — the ranges the VMAC simulator
+/// accepts, checked here so a bad value is a usage error before any
+/// training.
 fn parse_adc(value: &str) -> Result<AdcBehavior, String> {
     let (name, arg) = match value.split_once(':') {
         Some((n, a)) => (n, Some(a)),
         None => (value, None),
+    };
+    let number = |a: &str, what: &str, ok: fn(f64) -> bool| match a.parse::<f64>() {
+        Ok(v) if ok(v) => Ok(v),
+        Ok(v) => Err(format!("--adc {what} is out of range, got {v}")),
+        Err(e) => Err(format!("--adc {what} needs a number: {e}")),
     };
     match (name, arg) {
         ("ideal", None) => Ok(AdcBehavior::Ideal),
         ("quantizing", None) => Ok(AdcBehavior::Quantizing),
         ("delta-sigma", arg) => Ok(AdcBehavior::DeltaSigma {
             final_extra_bits: match arg {
-                Some(a) => a
-                    .parse()
-                    .map_err(|e| format!("--adc delta-sigma:BITS needs a number: {e}"))?,
+                Some(a) => number(a, "delta-sigma:BITS (finite, ≥ 0)", |v| {
+                    v.is_finite() && v >= 0.0
+                })?,
                 None => 2.0,
             },
         }),
         ("ref-scaled", Some(a)) => Ok(AdcBehavior::RefScaled {
-            alpha: a
-                .parse()
-                .map_err(|e| format!("--adc ref-scaled:ALPHA needs a number: {e}"))?,
+            alpha: number(a, "ref-scaled:ALPHA (in (0, 1])", |v| v > 0.0 && v <= 1.0)?,
         }),
         _ => Err(format!(
             "unknown --adc value {value:?}; expected ideal|quantizing|delta-sigma[:BITS]|ref-scaled:ALPHA"
@@ -519,9 +525,6 @@ pub fn write_metrics_report(path: &Path, report: &MetricsReport) -> std::io::Res
     }
     let text = serde_json::to_string(report)
         .map_err(|e| std::io::Error::other(format!("metrics serialization failed: {e:?}")))?;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
     ams_obs::fsio::atomic_write(path, text.as_bytes())
 }
 
@@ -824,5 +827,30 @@ mod tests {
             "--partition needs NW,NX,SLICE_ENOB",
         );
         parse_err(&["--adc", "sar"], "unknown --adc value");
+    }
+
+    #[test]
+    fn rejects_out_of_range_adc_values() {
+        for bad in [
+            "ref-scaled:2",
+            "ref-scaled:0",
+            "ref-scaled:nan",
+            "ref-scaled:inf",
+        ] {
+            parse_err(
+                &["--error-model", "per-vmac", "--adc", bad],
+                "--adc ref-scaled:ALPHA (in (0, 1]) is out of range",
+            );
+        }
+        for bad in ["delta-sigma:-1", "delta-sigma:nan", "delta-sigma:inf"] {
+            parse_err(
+                &["--error-model", "per-vmac", "--adc", bad],
+                "--adc delta-sigma:BITS (finite, ≥ 0) is out of range",
+            );
+        }
+        // The range ends themselves are accepted.
+        for good in ["ref-scaled:1", "delta-sigma:0"] {
+            parse(args(&["--error-model", "per-vmac", "--adc", good]));
+        }
     }
 }

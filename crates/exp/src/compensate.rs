@@ -51,9 +51,6 @@ impl CompensationState {
                 return;
             }
         };
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
         if let Err(e) = ams_obs::fsio::atomic_write(path, text.as_bytes()) {
             eprintln!(
                 "failed to write compensation state to {}: {e}",

@@ -60,7 +60,4 @@ pub use runner::{
     Fig8Result, FigDResult, FigDRow, Table1Result, Table1Row, Table2Result, Table2Row,
 };
 pub use scale::Scale;
-pub use train::{
-    eval_accuracy, eval_passes, train_scheduled, train_scheduled_resumable, train_with_eval,
-    TrainOutcome, TrainState,
-};
+pub use train::{eval_accuracy, eval_passes, train, TrainOutcome, TrainState};

@@ -143,10 +143,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 ///
 /// Returns any underlying I/O error.
 pub fn write_csv(path: impl AsRef<Path>, headers: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
     let mut out = String::new();
     out.push_str(&headers.join(","));
     out.push('\n');

@@ -13,10 +13,11 @@
 //!   their recorded payload is replayed — combined with the bit-exact
 //!   RNG-cursor checkpoints in `ams_tensor::rng::RngState`, a
 //!   killed-and-resumed sweep produces byte-identical CSVs;
-//! * a point that keeps failing (panic or per-attempt timeout) is retried
-//!   up to [`RetryPolicy::max_attempts`] times and then **quarantined**:
-//!   recorded as `failed` so the rest of the sweep completes and later
-//!   resumes do not re-run the poisoned point.
+//! * a point that panics is **quarantined** on its first failure:
+//!   recorded as `failed` with the panic message, so the rest of the
+//!   sweep completes and later resumes do not re-run the poisoned point.
+//!   A point is a pure function of its seeds and cached files, so a retry
+//!   could only repeat the same panic.
 //!
 //! Resume events are reported through the [`MetricsSink`] threaded in the
 //! `ExecCtx` (`sweep.resumed`, `sweep.points.skipped`,
@@ -34,7 +35,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ams_obs::fsio::atomic_write;
 use ams_tensor::MetricsSink;
@@ -88,7 +89,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub enum PointStatus {
     /// The point completed; its payload is valid and replayable.
     Done,
-    /// The point exhausted its retry budget and is quarantined.
+    /// The point panicked and is quarantined.
     Failed,
 }
 
@@ -101,11 +102,13 @@ pub struct PointRecord {
     pub point: String,
     /// Terminal status.
     pub status: PointStatus,
-    /// How many attempts were made (1 = first try succeeded).
+    /// How many attempts were made: always 1, since every point runs
+    /// once. Kept so the journal line layout, and every journal already
+    /// on disk, stays readable.
     pub attempts: u32,
-    /// Wall time of the final attempt, in milliseconds.
+    /// Wall time of the attempt, in milliseconds.
     pub elapsed_ms: u64,
-    /// Panic/timeout message of the last attempt, for `Failed` records.
+    /// Panic message of the attempt, for `Failed` records.
     pub error: Option<String>,
     /// The point's serialized result (`Null` for `Failed` records).
     pub payload: Value,
@@ -296,11 +299,6 @@ impl Journal {
             out.push_str(&encode_line(r));
             out.push('\n');
         }
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
         atomic_write(path, out.as_bytes())?;
         Ok(())
     }
@@ -337,29 +335,8 @@ fn crash_hook_after_append() {
 }
 
 // ---------------------------------------------------------------------
-// Retry policy + sweep engine
+// Sweep engine
 // ---------------------------------------------------------------------
-
-/// Per-point retry/timeout policy.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Attempts before a point is quarantined (≥ 1).
-    pub max_attempts: u32,
-    /// Per-attempt wall-time budget. The engine runs points in-process,
-    /// so it cannot preempt a runaway attempt; an attempt whose wall time
-    /// exceeds the budget is *counted as failed after the fact* and the
-    /// point retried/quarantined accordingly.
-    pub timeout: Option<Duration>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            timeout: None,
-        }
-    }
-}
 
 /// The resumable sweep engine: wraps a [`Journal`] behind a mutex so
 /// sweep points running under `ExecCtx::parallel_map` can record results
@@ -368,13 +345,12 @@ impl Default for RetryPolicy {
 /// # Example
 ///
 /// ```
-/// use ams_exp::sweep::{RetryPolicy, Sweep};
+/// use ams_exp::sweep::Sweep;
 /// use ams_tensor::MetricsSink;
 ///
 /// let dir = std::env::temp_dir().join("ams_sweep_doc");
 /// let path = dir.join("demo.journal.jsonl");
-/// let sweep = Sweep::new("demo", &path, false, RetryPolicy::default(),
-///                        MetricsSink::disabled()).unwrap();
+/// let sweep = Sweep::new("demo", &path, false, MetricsSink::disabled()).unwrap();
 /// let got: Option<f64> = sweep.run_point("p0", || 42.0);
 /// assert_eq!(got, Some(42.0));
 /// # let _ = std::fs::remove_dir_all(dir);
@@ -382,7 +358,6 @@ impl Default for RetryPolicy {
 pub struct Sweep {
     name: String,
     journal: Mutex<Journal>,
-    policy: RetryPolicy,
     metrics: MetricsSink,
 }
 
@@ -411,13 +386,8 @@ impl Sweep {
         name: impl Into<String>,
         journal_path: impl AsRef<Path>,
         resume: bool,
-        policy: RetryPolicy,
         metrics: MetricsSink,
     ) -> Result<Self, JournalError> {
-        assert!(
-            policy.max_attempts >= 1,
-            "RetryPolicy: max_attempts must be ≥ 1"
-        );
         let name = name.into();
         let journal = if resume {
             let j = Journal::open(&journal_path)?;
@@ -436,7 +406,6 @@ impl Sweep {
         Ok(Sweep {
             name,
             journal: Mutex::new(journal),
-            policy,
             metrics,
         })
     }
@@ -451,18 +420,18 @@ impl Sweep {
     /// * Journaled `done` → the recorded payload is replayed without
     ///   running `f` (`sweep.points.skipped`).
     /// * Journaled `failed` → the point stays quarantined; returns `None`.
-    /// * Otherwise `f` runs under `catch_unwind`, retried up to the
-    ///   policy's budget; success journals the payload and returns it,
-    ///   exhaustion journals a `failed` record (`sweep.points.quarantined`)
-    ///   and returns `None` so the remaining points still complete.
+    /// * Otherwise `f` runs once under `catch_unwind`: success journals
+    ///   the payload and returns it; a panic journals a `failed` record
+    ///   with the panic message (`sweep.points.quarantined`) and returns
+    ///   `None` so the remaining points still complete.
     ///
-    /// `f` must be idempotent (it may run more than once) and is expected
-    /// to tolerate unwinding — the workspace's experiment closures only
-    /// hold `&self`/`&ExecCtx`, which a dropped attempt cannot poison.
+    /// `f` is expected to tolerate unwinding — the workspace's experiment
+    /// closures only hold `&self`/`&ExecCtx`, which a panicking point
+    /// cannot poison.
     pub fn run_point<R, F>(&self, point: impl Into<String>, f: F) -> Option<R>
     where
         R: Serialize + Deserialize,
-        F: Fn() -> R,
+        F: FnOnce() -> R,
     {
         let point = point.into();
         let prior = self
@@ -510,81 +479,44 @@ impl Sweep {
         }
     }
 
-    /// The retry/quarantine loop: runs `f` under `catch_unwind` up to the
-    /// policy budget and journals the outcome.
+    /// Runs `f` once under `catch_unwind` and journals the outcome,
+    /// quarantining the point if it panicked.
     fn compute_and_record<R, F>(&self, point: String, f: F) -> Option<R>
     where
         R: Serialize + Deserialize,
-        F: Fn() -> R,
+        F: FnOnce() -> R,
     {
-        let mut last_error = String::new();
-        let mut elapsed_ms = 0u64;
-        for attempt in 1..=self.policy.max_attempts {
-            let t0 = Instant::now();
-            let outcome = panic::catch_unwind(AssertUnwindSafe(&f));
-            let elapsed = t0.elapsed();
-            elapsed_ms = elapsed.as_millis() as u64;
-            match outcome {
-                Ok(r) => {
-                    if let Some(budget) = self.policy.timeout {
-                        if elapsed > budget {
-                            last_error = format!(
-                                "attempt {attempt} exceeded its {budget:?} budget \
-                                 (took {elapsed:?})"
-                            );
-                            self.note_retry(&point, attempt, &last_error);
-                            continue;
-                        }
-                    }
-                    self.metrics.inc("sweep.points.completed");
-                    self.metrics.observe_histogram(
-                        "sweep.point_ms",
-                        &POINT_MS_BOUNDS,
-                        elapsed_ms as f64,
-                    );
-                    self.append(PointRecord {
-                        sweep: self.name.clone(),
-                        point,
-                        status: PointStatus::Done,
-                        attempts: attempt,
-                        elapsed_ms,
-                        error: None,
-                        payload: r.to_value(),
-                    });
-                    return Some(r);
-                }
-                Err(payload) => {
-                    last_error = panic_message(&payload);
-                    self.note_retry(&point, attempt, &last_error);
-                }
+        let t0 = Instant::now();
+        let outcome = panic::catch_unwind(AssertUnwindSafe(f));
+        let elapsed_ms = t0.elapsed().as_millis() as u64;
+        let (result, status, error, payload) = match outcome {
+            Ok(r) => {
+                self.metrics.inc("sweep.points.completed");
+                self.metrics.observe_histogram(
+                    "sweep.point_ms",
+                    &POINT_MS_BOUNDS,
+                    elapsed_ms as f64,
+                );
+                let payload = r.to_value();
+                (Some(r), PointStatus::Done, None, payload)
             }
-        }
-
-        self.metrics.inc("sweep.points.quarantined");
-        eprintln!(
-            "[sweep {}] point {point}: quarantined after {} attempt(s): {last_error}",
-            self.name, self.policy.max_attempts
-        );
+            Err(panic_payload) => {
+                let error = panic_message(&*panic_payload);
+                self.metrics.inc("sweep.points.quarantined");
+                eprintln!("[sweep {}] point {point}: quarantined: {error}", self.name);
+                (None, PointStatus::Failed, Some(error), Value::Null)
+            }
+        };
         self.append(PointRecord {
             sweep: self.name.clone(),
             point,
-            status: PointStatus::Failed,
-            attempts: self.policy.max_attempts,
+            status,
+            attempts: 1,
             elapsed_ms,
-            error: Some(last_error),
-            payload: Value::Null,
+            error,
+            payload,
         });
-        None
-    }
-
-    fn note_retry(&self, point: &str, attempt: u32, error: &str) {
-        if attempt < self.policy.max_attempts {
-            self.metrics.inc("sweep.points.retried");
-            eprintln!(
-                "[sweep {}] point {point}: attempt {attempt} failed ({error}); retrying",
-                self.name
-            );
-        }
+        result
     }
 
     fn append(&self, rec: PointRecord) {
@@ -716,40 +648,23 @@ mod tests {
         let path = dir.join("s.journal.jsonl");
         let calls = AtomicU32::new(0);
         {
-            let sweep = Sweep::new(
-                "s",
-                &path,
-                false,
-                RetryPolicy {
-                    max_attempts: 2,
-                    timeout: None,
-                },
-                MetricsSink::disabled(),
-            )
-            .unwrap();
+            let sweep = Sweep::new("s", &path, false, MetricsSink::disabled()).unwrap();
             let got: Option<f64> = sweep.run_point("ok", || {
                 calls.fetch_add(1, Ordering::SeqCst);
                 1.5
             });
             assert_eq!(got, Some(1.5));
-            // A point that always panics is retried then quarantined.
+            // A panicking point runs once and is quarantined.
             let bad: Option<f64> = sweep.run_point("bad", || {
                 calls.fetch_add(1, Ordering::SeqCst);
                 panic!("kaboom")
             });
             assert_eq!(bad, None);
         }
-        assert_eq!(calls.load(Ordering::SeqCst), 1 + 2);
+        assert_eq!(calls.load(Ordering::SeqCst), 1 + 1);
 
         // Resume: done replays without running f; failed stays quarantined.
-        let sweep = Sweep::new(
-            "s",
-            &path,
-            true,
-            RetryPolicy::default(),
-            MetricsSink::disabled(),
-        )
-        .unwrap();
+        let sweep = Sweep::new("s", &path, true, MetricsSink::disabled()).unwrap();
         let got: Option<f64> = sweep.run_point("ok", || {
             calls.fetch_add(1, Ordering::SeqCst);
             99.0
@@ -760,53 +675,34 @@ mod tests {
             7.0
         });
         assert_eq!(bad, None, "quarantined points stay quarantined on resume");
-        assert_eq!(calls.load(Ordering::SeqCst), 3, "resume ran nothing");
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "resume ran nothing");
 
         // Without --resume the journal is cleared and everything reruns.
-        let sweep = Sweep::new(
-            "s",
-            &path,
-            false,
-            RetryPolicy::default(),
-            MetricsSink::disabled(),
-        )
-        .unwrap();
+        let sweep = Sweep::new("s", &path, false, MetricsSink::disabled()).unwrap();
         let got: Option<f64> = sweep.run_point("bad", || 7.0);
         assert_eq!(got, Some(7.0));
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn timeout_counts_as_failed_attempt() {
-        let dir = tmpdir("timeout");
+    fn panic_text_is_journaled() {
+        // Both payload kinds `panic!` produces: a `&str` literal and a
+        // formatted `String`.
+        let dir = tmpdir("panic_text");
         let path = dir.join("s.journal.jsonl");
-        let sweep = Sweep::new(
-            "s",
-            &path,
-            false,
-            RetryPolicy {
-                max_attempts: 2,
-                timeout: Some(Duration::ZERO),
-            },
-            MetricsSink::disabled(),
-        )
-        .unwrap();
-        let calls = AtomicU32::new(0);
-        let got: Option<u64> = sweep.run_point("slow", || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(5));
-            3
-        });
-        assert_eq!(got, None, "a zero budget quarantines every attempt");
+        let sweep = Sweep::new("s", &path, false, MetricsSink::disabled()).unwrap();
+        let alpha = 2.0;
+        let _: Option<u64> =
+            sweep.run_point("formatted", || panic!("alpha {alpha} is not in (0, 1]"));
+        let _: Option<u64> = sweep.run_point("literal", || panic!("literal boom"));
+        let journal = Journal::open(&path).unwrap();
+        let error = |point: &str| journal.find(point).unwrap().error.clone();
         assert_eq!(
-            calls.load(Ordering::SeqCst),
-            2,
-            "timeout still consumes attempts"
+            error("formatted").as_deref(),
+            Some("alpha 2 is not in (0, 1]")
         );
-        assert_eq!(
-            Journal::open(&path).unwrap().find("slow").unwrap().status,
-            PointStatus::Failed
-        );
+        assert_eq!(error("literal").as_deref(), Some("literal boom"));
+        assert_eq!(journal.find("formatted").unwrap().attempts, 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -815,18 +711,11 @@ mod tests {
         let dir = tmpdir("metrics");
         let path = dir.join("s.journal.jsonl");
         {
-            let sweep = Sweep::new(
-                "s",
-                &path,
-                false,
-                RetryPolicy::default(),
-                MetricsSink::disabled(),
-            )
-            .unwrap();
+            let sweep = Sweep::new("s", &path, false, MetricsSink::disabled()).unwrap();
             let _: Option<u64> = sweep.run_point("p", || 1);
         }
         let sink = MetricsSink::recording();
-        let sweep = Sweep::new("s", &path, true, RetryPolicy::default(), sink.clone()).unwrap();
+        let sweep = Sweep::new("s", &path, true, sink.clone()).unwrap();
         let _: Option<u64> = sweep.run_point("p", || 2);
         let report = sink.registry().unwrap().report();
         let count = |name: &str| {

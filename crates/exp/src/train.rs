@@ -31,56 +31,6 @@ pub struct TrainOutcome {
     pub history: Vec<(f64, f64)>,
 }
 
-/// Trains `net` for `epochs` epochs of SGD with momentum 0.9 (and weight
-/// decay 5e-4 on decaying parameters), validating after each epoch and
-/// snapshotting the best.
-///
-/// Random horizontal flips augment each epoch's training data.
-///
-/// # Panics
-///
-/// Panics if `epochs == 0` or either dataset is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn train_with_eval(
-    ctx: &ExecCtx,
-    net: &mut dyn AmsModel,
-    train: &Dataset,
-    val: &Dataset,
-    epochs: usize,
-    lr: f32,
-    batch: usize,
-    seed: u64,
-) -> TrainOutcome {
-    train_scheduled(ctx, net, train, val, epochs, lr, batch, seed, &[])
-}
-
-/// [`train_with_eval`] with step learning-rate decay: the learning rate is
-/// multiplied by 0.2 at each (1-based) epoch listed in `decay_at`.
-///
-/// Used for FP32 *pretraining* only — the paper's retraining runs use a
-/// constant learning rate ("learning rate scheduling is not implemented
-/// here", §3), which [`train_with_eval`] preserves.
-///
-/// # Panics
-///
-/// Panics if `epochs == 0` or either dataset is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn train_scheduled(
-    ctx: &ExecCtx,
-    net: &mut dyn AmsModel,
-    train: &Dataset,
-    val: &Dataset,
-    epochs: usize,
-    lr: f32,
-    batch: usize,
-    seed: u64,
-    decay_at: &[usize],
-) -> TrainOutcome {
-    train_scheduled_resumable(
-        ctx, net, train, val, epochs, lr, batch, seed, decay_at, None,
-    )
-}
-
 /// Everything the training loop needs to continue **bit-identically**
 /// from an epoch boundary after the process is killed (DESIGN.md §9):
 /// the live model state, the optimizer's momentum buffers, the current
@@ -162,11 +112,6 @@ impl TrainState {
     fn save(&self, path: &Path, ctx: &ExecCtx) {
         let t0 = Instant::now();
         let json = serde_json::to_string(self).expect("train state serializes");
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-        }
         if let Err(e) = ams_obs::fsio::atomic_write(path, json.as_bytes()) {
             // Durability is best-effort; training itself is unaffected.
             eprintln!("[train] cannot write state {}: {e}", path.display());
@@ -176,7 +121,15 @@ impl TrainState {
     }
 }
 
-/// [`train_scheduled`] with optional crash-safe epoch checkpointing.
+/// Trains `net` for `epochs` epochs of SGD with momentum 0.9 (and weight
+/// decay 5e-4 on decaying parameters), validating after each epoch and
+/// snapshotting the best. Random horizontal flips augment each epoch's
+/// training data.
+///
+/// The learning rate is multiplied by 0.2 at each (1-based) epoch listed
+/// in `decay_at`. Only FP32 *pretraining* decays: the paper's retraining
+/// runs use a constant learning rate ("learning rate scheduling is not
+/// implemented here", §3), so they pass `&[]`.
 ///
 /// With `state_path` set, a [`TrainState`] is written atomically after
 /// every epoch and deleted on successful completion; if the file already
@@ -191,7 +144,7 @@ impl TrainState {
 /// Panics if `epochs == 0`, either dataset is empty, or a resumed state
 /// does not match `net`'s architecture.
 #[allow(clippy::too_many_arguments)]
-pub fn train_scheduled_resumable(
+pub fn train(
     ctx: &ExecCtx,
     net: &mut dyn AmsModel,
     train: &Dataset,
@@ -203,11 +156,8 @@ pub fn train_scheduled_resumable(
     decay_at: &[usize],
     state_path: Option<&Path>,
 ) -> TrainOutcome {
-    assert!(epochs > 0, "train_with_eval: zero epochs");
-    assert!(
-        !train.is_empty() && !val.is_empty(),
-        "train_with_eval: empty dataset"
-    );
+    assert!(epochs > 0, "train: zero epochs");
+    assert!(!train.is_empty() && !val.is_empty(), "train: empty dataset");
     let mut opt = Sgd::with_momentum(lr, 0.9).weight_decay(5e-4);
     let mut shuffle_rng = rng::seeded(seed);
     let mut best = TrainOutcome {
@@ -402,7 +352,7 @@ mod tests {
     fn training_learns_above_chance() {
         let data = SynthConfig::tiny().generate();
         let mut net = ResNetMini::new(&ResNetMiniConfig::tiny(), &HardwareConfig::fp32());
-        let out = train_with_eval(
+        let out = train(
             &ExecCtx::serial(),
             &mut net,
             &data.train,
@@ -411,6 +361,8 @@ mod tests {
             0.08,
             16,
             0,
+            &[],
+            None,
         );
         let chance = 1.0 / data.config().classes as f64;
         assert!(
@@ -443,7 +395,7 @@ mod tests {
         let decay = [3usize];
 
         let mut straight = ResNetMini::new(&arch, &hw);
-        let full = train_scheduled(
+        let full = train(
             &ctx,
             &mut straight,
             &data.train,
@@ -453,6 +405,7 @@ mod tests {
             16,
             9,
             &decay,
+            None,
         );
 
         // Simulate the kill: run the first 2 epochs by hand (same seed ⇒
@@ -508,7 +461,7 @@ mod tests {
 
         // Resume into a *fresh* net — everything must come from the file.
         let mut resumed = ResNetMini::new(&arch, &hw);
-        let out = train_scheduled_resumable(
+        let out = train(
             &ctx,
             &mut resumed,
             &data.train,
@@ -568,7 +521,7 @@ mod tests {
             ams_core::vmac::Vmac::new(8, 8, 8, 6.0),
         );
         let mut resumed = ResNetMini::new(&ResNetMiniConfig::tiny(), &hw);
-        train_scheduled_resumable(
+        train(
             &ctx,
             &mut resumed,
             &data.train,
@@ -656,7 +609,7 @@ mod tests {
         let spec = ams_models::ModelSpec::LeNet5(LeNet5Config::tiny());
 
         let mut straight = spec.build(&hw);
-        let full = train_scheduled(
+        let full = train(
             &ctx,
             &mut *straight,
             &data.train,
@@ -666,6 +619,7 @@ mod tests {
             16,
             9,
             &[],
+            None,
         );
 
         // Manual epoch 1 (same seed ⇒ same trajectory as the straight
@@ -704,7 +658,7 @@ mod tests {
 
         // Resume into a *fresh* build — everything must come from the file.
         let mut resumed = spec.build(&hw);
-        let out = train_scheduled_resumable(
+        let out = train(
             &ctx,
             &mut *resumed,
             &data.train,

@@ -50,26 +50,44 @@ fn unknown_error_model_exits_2_with_usage() {
     assert!(stderr.contains("usage: "), "stderr was: {stderr}");
 }
 
+/// Asserts that `args` exit with the usage code and a usage line, the
+/// error naming `flag`.
+fn assert_usage_error(args: &[&str], flag: &str) {
+    let out = run_table1(args);
+    assert_eq!(
+        out.status.code(),
+        Some(ams_exp::USAGE_EXIT_CODE),
+        "{args:?} should exit with the usage code"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(flag), "{args:?}: stderr was: {stderr}");
+    assert!(stderr.contains("usage: "), "{args:?}: stderr was: {stderr}");
+}
+
 #[test]
 fn bad_at_times_exit_2_with_usage() {
     // Unparsable, non-positive, and non-finite time lists must all die
     // with the usage synopsis, not a panic.
     for bad in ["abc", "1,,2", "0", "-5", "1,inf", "nan"] {
-        let out = run_table1(&["--at-times", bad]);
-        assert_eq!(
-            out.status.code(),
-            Some(ams_exp::USAGE_EXIT_CODE),
-            "--at-times {bad} should exit with the usage code"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("--at-times"),
-            "--at-times {bad}: stderr was: {stderr}"
-        );
-        assert!(
-            stderr.contains("usage: "),
-            "--at-times {bad}: stderr was: {stderr}"
-        );
+        assert_usage_error(&["--at-times", bad], "--at-times");
+    }
+}
+
+#[test]
+fn bad_adc_values_exit_2_with_usage() {
+    // Values the VMAC simulator would reject must die with the usage
+    // synopsis before any training, not as a panic in every sweep point.
+    for bad in [
+        "ref-scaled:2",
+        "ref-scaled:0",
+        "ref-scaled:-0.5",
+        "ref-scaled:nan",
+        "ref-scaled:inf",
+        "delta-sigma:-1",
+        "delta-sigma:nan",
+        "delta-sigma:inf",
+    ] {
+        assert_usage_error(&["--error-model", "per-vmac", "--adc", bad], "--adc");
     }
 }
 

@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use ams_exp::sweep::{RetryPolicy, Sweep};
+use ams_exp::sweep::Sweep;
 use ams_exp::{Experiments, Scale};
 use ams_tensor::{ExecCtx, MetricsSink};
 
@@ -133,7 +133,7 @@ fn plain_run_clears_leftover_journal() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// A point that keeps failing is quarantined — recorded `failed`, the
+/// A point that panics is quarantined — recorded `failed`, the
 /// sweep continues — and stays skipped on resume even if it would now
 /// succeed, until the user reruns without `--resume`.
 #[test]
@@ -142,25 +142,14 @@ fn quarantined_point_stays_skipped_across_resume() {
     let path = dir.join("q.jsonl");
     let sink = MetricsSink::recording();
 
-    let sweep = Sweep::new(
-        "q",
-        &path,
-        false,
-        RetryPolicy {
-            max_attempts: 2,
-            timeout: None,
-        },
-        sink.clone(),
-    )
-    .expect("fresh sweep");
+    let sweep = Sweep::new("q", &path, false, sink.clone()).expect("fresh sweep");
     let good: Option<f64> = sweep.run_point("good", || 7.0);
     assert_eq!(good, Some(7.0));
     let bad: Option<f64> = sweep.run_point("bad", || panic!("poisoned point"));
-    assert!(bad.is_none(), "exhausted retries quarantine the point");
+    assert!(bad.is_none(), "a panic quarantines the point");
 
     // Resume: the quarantined point must not run again...
-    let sweep =
-        Sweep::new("q", &path, true, RetryPolicy::default(), sink.clone()).expect("resumed sweep");
+    let sweep = Sweep::new("q", &path, true, sink.clone()).expect("resumed sweep");
     let bad: Option<f64> = sweep.run_point("bad", || 9.0);
     assert!(bad.is_none(), "quarantine must survive resume");
     // ...and the good point replays from the journal, not the closure.
@@ -169,11 +158,10 @@ fn quarantined_point_stays_skipped_across_resume() {
 
     let report = sink.registry().expect("recording sink").report();
     assert_eq!(report.counter("sweep.points.quarantined").unwrap().value, 1);
-    assert_eq!(report.counter("sweep.points.retried").unwrap().value, 1);
     assert!(report.counter("sweep.points.skipped").unwrap().value >= 2);
 
     // A plain (non-resume) open clears the quarantine: the point runs.
-    let sweep = Sweep::new("q", &path, false, RetryPolicy::default(), sink).expect("fresh again");
+    let sweep = Sweep::new("q", &path, false, sink).expect("fresh again");
     let bad: Option<f64> = sweep.run_point("bad", || 9.0);
     assert_eq!(bad, Some(9.0));
 

@@ -125,8 +125,9 @@ impl GemmGeometry for Dense<'_> {
         linear_forward_i8(ctx, xq, &w.codes, w.scale, Some(self.bias), self.bias.len())
     }
 
-    /// Converts each output's chunks and accumulates them in f64, then
-    /// adds the bias digitally. Each batch row is independent, so the
+    /// Each output is one simulated dot product ([`VmacSimulator::dot`]:
+    /// chunks converted and accumulated in f64) plus the bias, added
+    /// digitally. Each batch row is independent, so the
     /// simulation parallelizes over rows on the ExecCtx pool.
     fn forward_per_vmac(
         &self,
@@ -136,31 +137,13 @@ impl GemmGeometry for Dense<'_> {
         sim: &VmacSimulator,
     ) -> Tensor {
         let n = xq.dims()[0];
-        let n_mult = sim.vmac().n_mult;
         let (wd, xd, bd) = (wmat.data(), xq.data(), self.bias);
         let (fin, fout) = (xq.dims()[1], self.bias.len());
-        let n_chunks = fin.div_ceil(n_mult);
         let mut y = Tensor::zeros(&[n, fout]);
         ctx.for_each_chunk(y.data_mut(), fout, n * fout, |row, yrow| {
             let xrow = &xd[row * fin..(row + 1) * fin];
             for (o, yv) in yrow.iter_mut().enumerate() {
-                let wrow = &wd[o * fin..(o + 1) * fin];
-                let mut total = 0.0f64;
-                let mut feedback = 0.0f64; // ΔΣ error memory
-                let mut start = 0;
-                let mut k = 0;
-                while start < fin {
-                    let end = (start + n_mult).min(fin);
-                    let partial: f64 = wrow[start..end]
-                        .iter()
-                        .zip(&xrow[start..end])
-                        .map(|(&a, &b)| f64::from(a) * f64::from(b))
-                        .sum();
-                    total += sim.convert_partial(partial, k, n_chunks, &mut feedback);
-                    start = end;
-                    k += 1;
-                }
-                *yv = total as f32 + bd[o];
+                *yv = sim.dot(&wd[o * fin..(o + 1) * fin], xrow) as f32 + bd[o];
             }
         });
         y

@@ -15,7 +15,7 @@ use std::path::Path;
 
 /// Writes `bytes` to `path` atomically: tmp file → fsync → rename, then
 /// best-effort fsync of the parent directory so the rename itself is
-/// durable.
+/// durable. A missing parent directory is created first.
 ///
 /// The temporary file is `<file_name>.tmp.<pid>` in the same directory
 /// (rename is only atomic within a filesystem). The pid suffix keeps
@@ -28,8 +28,9 @@ use std::path::Path;
 ///
 /// # Errors
 ///
-/// Propagates any I/O error from creating, writing, syncing, or renaming
-/// the temporary file. On error the destination is untouched.
+/// Propagates any I/O error from creating the parent directory, or from
+/// creating, writing, syncing, or renaming the temporary file. On error
+/// the destination is untouched.
 ///
 /// # Panics
 ///
@@ -44,6 +45,10 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
         n.push(format!(".tmp.{}", std::process::id()));
         n
     });
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if let Some(dir) = dir {
+        fs::create_dir_all(dir)?;
+    }
     {
         let mut f = OpenOptions::new()
             .write(true)
@@ -56,12 +61,8 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)?;
     // Make the rename durable: fsync the directory entry. Best-effort —
     // some filesystems/platforms refuse to open directories.
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+    if let Some(d) = dir.and_then(|dir| File::open(dir).ok()) {
+        let _ = d.sync_all();
     }
     Ok(())
 }
@@ -97,8 +98,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("keep.json");
         atomic_write(&path, b"original").unwrap();
-        // Writing into a directory that does not exist fails cleanly.
-        let bad = dir.join("no_such_subdir").join("x.json");
+        // Writing below a regular file (no directory can be created
+        // there) fails cleanly.
+        let bad = path.join("x.json");
         assert!(atomic_write(&bad, b"x").is_err());
         assert_eq!(fs::read(&path).unwrap(), b"original");
         let _ = fs::remove_dir_all(dir);

@@ -9,7 +9,7 @@
 use ams_repro::core::mismatch::MismatchModel;
 use ams_repro::core::vmac::Vmac;
 use ams_repro::data::{Batcher, SynthConfig};
-use ams_repro::exp::{eval_accuracy, train_scheduled};
+use ams_repro::exp::{eval_accuracy, train};
 use ams_repro::models::{fold_bn_into_conv, HardwareConfig, ResNetMini, ResNetMiniConfig};
 use ams_repro::nn::{BatchNorm2d, Checkpoint, Conv2d, Layer, Mode};
 use ams_repro::quant::QuantConfig;
@@ -27,7 +27,7 @@ fn main() {
     let arch = ResNetMiniConfig::tiny();
     let mut fp32 = ResNetMini::new(&arch, &HardwareConfig::fp32());
     println!("pretraining a tiny FP32 network ...");
-    let out = train_scheduled(
+    let out = train(
         &ctx,
         &mut fp32,
         &data.train,
@@ -37,6 +37,7 @@ fn main() {
         16,
         0,
         &[7],
+        None,
     );
     println!("  best val accuracy: {:.4}\n", out.best_val_acc);
     let fp32_ckpt = Checkpoint::from_layer(&mut fp32);
@@ -47,7 +48,18 @@ fn main() {
     // paper always does) and use *its* checkpoint below.
     let mut qnet = ResNetMini::new(&arch, &HardwareConfig::quantized(quant));
     fp32_ckpt.load_into(&mut qnet).expect("same architecture");
-    let out = train_scheduled(&ctx, &mut qnet, &data.train, &data.val, 6, 0.01, 16, 1, &[]);
+    let out = train(
+        &ctx,
+        &mut qnet,
+        &data.train,
+        &data.val,
+        6,
+        0.01,
+        16,
+        1,
+        &[],
+        None,
+    );
     println!(
         "quantized (8b/8b) after retraining: {:.4}\n",
         out.best_val_acc

@@ -12,7 +12,7 @@
 
 use ams_repro::core::vmac::Vmac;
 use ams_repro::data::SynthConfig;
-use ams_repro::exp::{eval_passes, train_scheduled, train_with_eval};
+use ams_repro::exp::{eval_passes, train};
 use ams_repro::models::{HardwareConfig, ResNetMini, ResNetMiniConfig};
 use ams_repro::nn::{Checkpoint, Layer};
 use ams_repro::quant::QuantConfig;
@@ -38,7 +38,7 @@ fn main() {
     // 1. Pretrain the FP32 baseline.
     println!("pretraining FP32 baseline ...");
     let mut fp32 = ResNetMini::new(&arch, &HardwareConfig::fp32());
-    let out = train_scheduled(
+    let out = train(
         &ctx,
         &mut fp32,
         &data.train,
@@ -48,6 +48,7 @@ fn main() {
         batch,
         0,
         &[10, 14],
+        None,
     );
     println!(
         "  FP32 best val accuracy: {:.4} (epoch {})",
@@ -75,7 +76,7 @@ fn main() {
     fp32_ckpt
         .load_into(&mut retrained)
         .expect("same architecture");
-    let out = train_with_eval(
+    let out = train(
         &ctx,
         &mut retrained,
         &data.train,
@@ -84,6 +85,8 @@ fn main() {
         0.01,
         batch,
         1,
+        &[],
+        None,
     );
     let acc_retrained = eval_passes(&ctx, &mut retrained, &data.val, passes, batch, true, 200);
     println!(

@@ -4,7 +4,7 @@
 
 use ams_repro::core::vmac::Vmac;
 use ams_repro::data::SynthConfig;
-use ams_repro::exp::{eval_accuracy, eval_passes, train_scheduled, train_with_eval};
+use ams_repro::exp::{eval_accuracy, eval_passes, train};
 use ams_repro::models::{AmsModel, FreezePolicy, HardwareConfig, ResNetMini, ResNetMiniConfig};
 use ams_repro::nn::{Checkpoint, Layer};
 use ams_repro::quant::QuantConfig;
@@ -28,7 +28,7 @@ fn pretrained() -> (
     .generate();
     let arch = ResNetMiniConfig::tiny();
     let mut net = ResNetMini::new(&arch, &HardwareConfig::fp32());
-    let _out = train_scheduled(
+    let _out = train(
         &ExecCtx::serial(),
         &mut net,
         &data.train,
@@ -38,6 +38,7 @@ fn pretrained() -> (
         16,
         0,
         &[8, 11],
+        None,
     );
     let acc = eval_accuracy(&ExecCtx::serial(), &mut net, &data.val, 16);
     (data, arch, Checkpoint::from_layer(&mut net), acc)
@@ -95,7 +96,7 @@ fn paper_workflow_pretrain_surgery_retrain() {
     fp32_ckpt
         .load_into(&mut retrained)
         .expect("same architecture");
-    let out = train_with_eval(
+    let out = train(
         &ExecCtx::serial(),
         &mut retrained,
         &data.train,
@@ -104,6 +105,8 @@ fn paper_workflow_pretrain_surgery_retrain() {
         0.01,
         16,
         3,
+        &[],
+        None,
     );
     assert!(
         out.best_val_acc > f64::from(chance) + 0.2,
@@ -124,7 +127,7 @@ fn freezing_policies_affect_only_their_groups() {
     // Snapshot, train one step, verify frozen groups did not move.
     let before = Checkpoint::from_layer(&mut net);
     let data = SynthConfig::tiny().generate();
-    train_with_eval(
+    train(
         &ExecCtx::serial(),
         &mut net,
         &data.train,
@@ -133,6 +136,8 @@ fn freezing_policies_affect_only_their_groups() {
         0.05,
         16,
         0,
+        &[],
+        None,
     );
     let mut moved_frozen = Vec::new();
     let mut moved_free = 0usize;
