@@ -18,7 +18,7 @@ use std::time::Instant;
 use ams_core::inject::GaussianInjector;
 use ams_exp::usage_exit;
 use ams_models::{HardwareConfig, InputKind, QConv2d, QLinear};
-use ams_nn::functional::{conv2d_backward, conv2d_forward};
+use ams_nn::functional::{conv2d_backward, conv2d_forward, ConvCache};
 use ams_nn::{Layer, Mode};
 use ams_quant::QuantConfig;
 use ams_tensor::{
@@ -305,18 +305,7 @@ fn main() {
         // lowered straight into the GEMM panel and its NCHW output).
         let wmat = random(&[shape.c_out, geom.rows()], 4);
         let fwd = time_reps(reps, || {
-            let (y, _) = conv2d_forward(
-                &ctx,
-                &x,
-                &wmat,
-                Density::Sample,
-                None,
-                shape.k,
-                shape.k,
-                1,
-                shape.k / 2,
-                false,
-            );
+            let y = conv2d_forward(&ctx, &x, &wmat, Density::Sample, &geom);
             ws.recycle(y);
         });
         results.push(summary(
@@ -333,24 +322,18 @@ fn main() {
             &fwd,
         ));
 
-        // -- training conv: the forward with its backward cache, then the
-        // backward (input, weight and bias gradients).
+        // -- training conv: the forward, its backward cache (pooled copies
+        // of the input and weights), then the backward (input and weight
+        // gradients).
         let dy = random(&[shape.n, shape.c_out, geom.oh, geom.ow], 8);
         let train = time_reps(reps, || {
-            let (y, cache) = conv2d_forward(
-                &ctx,
-                &x,
-                &wmat,
-                Density::Sample,
-                None,
-                shape.k,
-                shape.k,
-                1,
-                shape.k / 2,
-                true,
-            );
-            let cache = cache.expect("train forward returns its cache");
-            let (dx, dw, _) = conv2d_backward(&ctx, &cache, &dy);
+            let y = conv2d_forward(&ctx, &x, &wmat, Density::Sample, &geom);
+            let cache = ConvCache {
+                input: ws.clone_tensor(&x),
+                geom,
+                weight_mat: ws.clone_tensor(&wmat),
+            };
+            let (dx, dw) = conv2d_backward(&ctx, &cache, &dy);
             for t in [y, dx, dw, cache.input, cache.weight_mat] {
                 ws.recycle(t);
             }

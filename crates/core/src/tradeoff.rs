@@ -15,7 +15,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::energy::{mac_energy_fj, ENOB_BREAKPOINT};
-use crate::vmac::Vmac;
 
 /// Error building an [`AccuracyCurve`].
 #[derive(Debug, Clone, PartialEq)]
@@ -288,19 +287,10 @@ impl TradeoffGrid {
     }
 }
 
-/// Convenience: the per-layer error σ of a design point for a layer with
-/// `n_tot` multiplies, going through [`Vmac`].
-///
-/// # Panics
-///
-/// Panics if any count is zero.
-pub fn design_sigma(enob: f64, n_mult: usize, n_tot: usize) -> f64 {
-    Vmac::new(8, 8, n_mult, enob).total_error_sigma(n_tot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vmac::Vmac;
 
     fn toy_curve() -> AccuracyCurve {
         AccuracyCurve::new(
@@ -337,9 +327,10 @@ mod tests {
     fn equal_error_mapping_preserves_sigma() {
         // (ENOB, N_mult) and (equivalent ENOB, ref N_mult) inject the same σ.
         let n_tot = 4608;
+        let sigma = |enob, n_mult| Vmac::new(8, 8, n_mult, enob).total_error_sigma(n_tot);
         for &(enob, n_mult) in &[(12.0f64, 64usize), (10.5, 2), (13.0, 256)] {
-            let direct = design_sigma(enob, n_mult, n_tot);
-            let mapped = design_sigma(equivalent_enob(enob, n_mult, 8), 8, n_tot);
+            let direct = sigma(enob, n_mult);
+            let mapped = sigma(equivalent_enob(enob, n_mult, 8), 8);
             assert!((direct / mapped - 1.0).abs() < 1e-9, "{enob},{n_mult}");
         }
     }

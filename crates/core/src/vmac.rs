@@ -232,13 +232,6 @@ impl PrecisionBudget {
     pub fn lost_bits(&self) -> f64 {
         (self.ideal_bits() - self.recovered_bits).max(0.0)
     }
-
-    /// Whether the conversion is lossless (`ENOB ≥` ideal bits) — in that
-    /// regime the AMS hardware is digitally exact and the injected error
-    /// model overestimates true behaviour.
-    pub fn is_lossless(&self) -> bool {
-        self.lost_bits() == 0.0
-    }
 }
 
 #[cfg(test)]
@@ -307,8 +300,7 @@ mod tests {
         assert_eq!(b.accumulation_bits(), 4.0);
         assert_eq!(b.ideal_bits(), 13.0);
         assert_eq!(b.lost_bits(), 4.0);
-        assert!(!b.is_lossless());
-        assert!(PrecisionBudget::new(6, 4, 16, 13.0).is_lossless());
+        assert_eq!(PrecisionBudget::new(6, 4, 16, 13.0).lost_bits(), 0.0);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl<'a> Batcher<'a> {
             pos: 0,
         }
     }
-
-    /// Number of batches this iterator will yield in total.
-    pub fn num_batches(&self) -> usize {
-        self.dataset.len().div_ceil(self.batch_size)
-    }
 }
 
 impl Iterator for Batcher<'_> {
@@ -119,24 +114,15 @@ mod tests {
     }
 
     #[test]
-    fn num_batches_matches_iteration() {
-        let ds = toy();
-        let b = Batcher::sequential(&ds, 2);
-        assert_eq!(b.num_batches(), 4);
-        assert_eq!(b.count(), 4);
-    }
-
-    #[test]
     fn oversized_batch_yields_one_full_epoch_batch() {
         // batch_size > len: a single batch holding the whole dataset, for
-        // both orderings, and num_batches agrees.
+        // both orderings.
         let ds = toy();
         let mut r = rng::seeded(1);
         for b in [
             Batcher::sequential(&ds, 100),
             Batcher::new(&ds, 100, &mut r),
         ] {
-            assert_eq!(b.num_batches(), 1);
             let batches: Vec<_> = b.collect();
             assert_eq!(batches.len(), 1);
             let (images, labels) = &batches[0];

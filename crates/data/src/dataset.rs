@@ -64,11 +64,6 @@ impl Dataset {
         &self.labels
     }
 
-    /// Number of distinct classes (`max label + 1`; 0 when empty).
-    pub fn num_classes(&self) -> usize {
-        self.labels.iter().max().map_or(0, |&m| m + 1)
-    }
-
     /// Copies the examples at `indices` into a new `(len, C, H, W)` batch.
     ///
     /// # Panics
@@ -184,11 +179,6 @@ mod tests {
             }
         }
         assert!(saw_flip);
-    }
-
-    #[test]
-    fn num_classes_from_labels() {
-        assert_eq!(toy().num_classes(), 3);
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl BasicBlock {
         }
     }
 
-    /// Whether the block carries a projection shortcut.
-    pub fn has_projection(&self) -> bool {
-        self.down.is_some()
-    }
-
     /// Visits the block's quantized convolutions (probing, reseeding).
     pub fn for_each_qconv(&mut self, f: &mut dyn FnMut(&mut QConv2d)) {
         f(&mut self.conv1);
@@ -207,7 +202,7 @@ mod tests {
         let mut r = rng::seeded(0);
         let hw = HardwareConfig::fp32();
         let mut idb = BasicBlock::new("b", 8, 8, 1, &hw, 0, &mut r);
-        assert!(!idb.has_projection());
+        assert!(idb.down.is_none());
         let y = idb.forward(
             &ExecCtx::serial(),
             &Tensor::zeros(&[2, 8, 6, 6]),
@@ -216,7 +211,7 @@ mod tests {
         assert_eq!(y.dims(), &[2, 8, 6, 6]);
 
         let mut pb = BasicBlock::new("b2", 8, 16, 2, &hw, 3, &mut r);
-        assert!(pb.has_projection());
+        assert!(pb.down.is_some());
         let y = pb.forward(
             &ExecCtx::serial(),
             &Tensor::zeros(&[2, 8, 6, 6]),

@@ -62,4 +62,4 @@ pub use qconv::QConv2d;
 pub use qlinear::QLinear;
 pub use resnet::{ResNetMini, ResNetMiniConfig};
 pub use spec::{AmsModel, ModelKind, ModelSpec};
-pub use surgery::{fold_bn_into_conv, EnergyReport, LayerEnergy};
+pub use surgery::{EnergyReport, LayerEnergy};

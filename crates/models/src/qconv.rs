@@ -112,12 +112,19 @@ impl DerefMut for QConv2d {
     }
 }
 
+impl ConvShape {
+    /// The im2col geometry of this convolution over `x`.
+    fn geom(&self, x: &Tensor) -> ConvGeom {
+        let (n, c_in, h, w) = x.dims4();
+        ConvGeom::new(n, c_in, h, w, self.k, self.k, self.stride, self.pad)
+    }
+}
+
 impl GemmGeometry for ConvShape {
     type Cache = ConvCache;
 
     fn forward_f32(&self, ctx: &ExecCtx, xq: &Tensor, wmat: &Tensor, density: Density) -> Tensor {
-        let (k, stride, pad) = (self.k, self.stride, self.pad);
-        conv2d_forward(ctx, xq, wmat, density, None, k, k, stride, pad, false).0
+        conv2d_forward(ctx, xq, wmat, density, &self.geom(xq))
     }
 
     fn forward_train(
@@ -127,9 +134,8 @@ impl GemmGeometry for ConvShape {
         wmat: Tensor,
         density: Density,
     ) -> (Tensor, ConvCache) {
-        let y = self.forward_f32(ctx, &xq, &wmat, density);
-        let (n, c_in, h, w) = xq.dims4();
-        let geom = ConvGeom::new(n, c_in, h, w, self.k, self.k, self.stride, self.pad);
+        let geom = self.geom(&xq);
+        let y = conv2d_forward(ctx, &xq, &wmat, density, &geom);
         let cache = ConvCache {
             input: xq,
             geom,
@@ -139,19 +145,8 @@ impl GemmGeometry for ConvShape {
     }
 
     fn forward_i8(&self, ctx: &ExecCtx, xq: &Tensor, w: &QuantizedI8) -> Tensor {
-        conv2d_forward_i8(
-            ctx,
-            xq,
-            &w.codes,
-            w.scale,
-            w.sparse,
-            None,
-            self.k,
-            self.k,
-            self.stride,
-            self.pad,
-            self.c_out,
-        )
+        let geom = self.geom(xq);
+        conv2d_forward_i8(ctx, xq, &w.codes, w.scale, w.sparse, &geom, self.c_out)
     }
 
     /// Lowers the convolution and converts each output channel's chunks
@@ -164,8 +159,7 @@ impl GemmGeometry for ConvShape {
         sim: &VmacSimulator,
     ) -> Tensor {
         let ws = ctx.workspace();
-        let (n, c_in, h, w) = xq.dims4();
-        let geom = ConvGeom::new(n, c_in, h, w, self.k, self.k, self.stride, self.pad);
+        let geom = self.geom(xq);
         let cols = im2col_in(ctx, xq, &geom);
         let (rows, ncols) = (geom.rows(), geom.cols());
         let n_mult = sim.vmac().n_mult;
@@ -228,10 +222,8 @@ impl Layer for QConv2d {
             .cache
             .as_ref()
             .expect("QConv2d::backward without a Train-mode forward");
-        self.core.backward(ctx, || {
-            let (dxq, dwmat, _) = conv2d_backward(ctx, cache, grad_output);
-            (dxq, dwmat)
-        })
+        self.core
+            .backward(ctx, || conv2d_backward(ctx, cache, grad_output))
     }
 
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -266,18 +258,8 @@ mod tests {
         let x = input();
         let y = qc.forward(&ExecCtx::serial(), &x, Mode::Eval);
         let wmat = qc.weight().value.reshaped(&[4, 27]);
-        let (want, _) = conv2d_forward(
-            &ExecCtx::serial(),
-            &x,
-            &wmat,
-            ams_tensor::Density::Sample,
-            None,
-            3,
-            3,
-            1,
-            1,
-            false,
-        );
+        let geom = ConvGeom::new(2, 3, 6, 6, 3, 3, 1, 1);
+        let want = conv2d_forward(&ExecCtx::serial(), &x, &wmat, Density::Sample, &geom);
         assert_eq!(y, want);
     }
 

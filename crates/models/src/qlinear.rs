@@ -103,7 +103,7 @@ impl GemmGeometry for Dense<'_> {
     type Cache = LinearCache;
 
     fn forward_f32(&self, ctx: &ExecCtx, xq: &Tensor, wmat: &Tensor, _density: Density) -> Tensor {
-        linear_forward(ctx, xq, wmat, Some(self.bias), false).0
+        linear_forward(ctx, xq, wmat, self.bias)
     }
 
     fn forward_train(
@@ -280,12 +280,11 @@ mod tests {
         let mut x = Tensor::zeros(&[2, 6]);
         rng::fill_uniform(&mut x, 0.0, 1.0, &mut r);
         let y = fc.forward(&ExecCtx::serial(), &x, Mode::Eval);
-        let (want, _) = linear_forward(
+        let want = linear_forward(
             &ExecCtx::serial(),
             &x,
             &fc.weight().value,
-            Some(fc.bias.value.data()),
-            false,
+            fc.bias.value.data(),
         );
         assert_eq!(y, want);
     }

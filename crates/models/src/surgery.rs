@@ -1,58 +1,13 @@
-//! Deployment surgery: batch-norm folding and per-network energy
-//! accounting.
+//! Per-network energy accounting.
 //!
-//! The paper (§2) notes that batch-norm parameters need not be quantized
-//! because "after retraining, weights can be folded into the convolutional
-//! layer, while biases can be added digitally at little extra energy
-//! cost". [`fold_bn_into_conv`] implements exactly that fold. The energy
-//! report realizes §4's "lookup table" idea at network granularity:
-//! every layer's MAC count priced by the paper's Eq. 3–4 model.
+//! The energy report realizes §4's "lookup table" idea at network
+//! granularity: every layer's MAC count priced by the paper's Eq. 3–4
+//! model. Batch norm is not folded into the convolutions here; it stays a
+//! separate digital layer, as in the paper's Table 2 study of what
+//! retraining it recovers.
 
 use ams_core::energy::mac_energy_pj;
-use ams_nn::BatchNorm2d;
-use ams_tensor::Tensor;
 use serde::{Deserialize, Serialize};
-
-/// Folds an evaluation-mode batch-norm into the convolution preceding it.
-///
-/// For per-channel scale `s_o = γ_o / √(rv_o + ε)`, the folded layer
-/// computes `conv(x; w·s) + (β − s·rm)`, which equals `BN(conv(x; w))`
-/// with running statistics — an identity checked by the tests.
-///
-/// Returns the folded `(weight, bias)`; the weight has the input's
-/// `(C_out, C_in, K, K)` shape, the bias has length `C_out`.
-///
-/// # Panics
-///
-/// Panics if `weight` is not 4-D or its `C_out` differs from the
-/// batch-norm's channel count.
-pub fn fold_bn_into_conv(weight: &Tensor, bn: &BatchNorm2d) -> (Tensor, Vec<f32>) {
-    let (c_out, _, _, _) = weight.dims4();
-    assert_eq!(
-        c_out,
-        bn.channels(),
-        "fold: conv C_out {c_out} != BN channels {}",
-        bn.channels()
-    );
-    let per_out = weight.len() / c_out;
-    let gamma = bn.gamma().data();
-    let beta = bn.beta().data();
-    let rm = bn.running_mean().data();
-    let rv = bn.running_var().data();
-    let eps = bn.eps();
-
-    let mut folded = weight.clone();
-    let fd = folded.data_mut();
-    let mut bias = Vec::with_capacity(c_out);
-    for o in 0..c_out {
-        let scale = gamma[o] / (rv[o] + eps).sqrt();
-        for v in &mut fd[o * per_out..(o + 1) * per_out] {
-            *v *= scale;
-        }
-        bias.push(beta[o] - scale * rm[o]);
-    }
-    (folded, bias)
-}
 
 /// One layer's line in a network energy report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -105,60 +60,6 @@ pub(crate) fn layer_energy_pj(macs: usize, enob: f64, n_mult: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ams_nn::{Conv2d, Layer, Mode};
-    use ams_tensor::{rng, ExecCtx};
-
-    #[test]
-    fn folded_conv_matches_conv_then_bn() {
-        let mut r = rng::seeded(1);
-        let mut conv = Conv2d::new("c", 3, 4, 3, 1, 1, false, &mut r);
-        let mut bn = BatchNorm2d::new("bn", 4);
-        // Give BN non-trivial learned state by training on random batches.
-        for _ in 0..20 {
-            let mut x = Tensor::zeros(&[4, 3, 6, 6]);
-            rng::fill_normal(&mut x, 0.3, 0.8, &mut r);
-            let y = conv.forward(&ExecCtx::serial(), &x, Mode::Train);
-            bn.forward(&ExecCtx::serial(), &y, Mode::Train);
-        }
-        // Perturb gamma/beta away from identity.
-        bn.for_each_param(&mut |p| {
-            let sign = if p.name().ends_with("gamma") {
-                1.0
-            } else {
-                -0.5
-            };
-            for (i, v) in p.value.data_mut().iter_mut().enumerate() {
-                *v += 0.1 * (i as f32 + 1.0) * sign;
-            }
-        });
-
-        let mut x = Tensor::zeros(&[2, 3, 6, 6]);
-        rng::fill_normal(&mut x, 0.0, 1.0, &mut r);
-        let reference = bn.forward(
-            &ExecCtx::serial(),
-            &conv.forward(&ExecCtx::serial(), &x, Mode::Eval),
-            Mode::Eval,
-        );
-
-        let (folded_w, folded_b) = fold_bn_into_conv(&conv.weight().value, &bn);
-        let wmat = folded_w.reshaped(&[4, 27]);
-        let (folded_y, _) = ams_nn::functional::conv2d_forward(
-            &ExecCtx::serial(),
-            &x,
-            &wmat,
-            ams_tensor::Density::Sample,
-            Some(&folded_b),
-            3,
-            3,
-            1,
-            1,
-            false,
-        );
-
-        for (a, b) in reference.data().iter().zip(folded_y.data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
 
     #[test]
     fn energy_report_aggregation() {

@@ -1,68 +1,8 @@
-//! Elementwise activation layers.
+//! DoReFa's clipped activation layer.
 
 use ams_tensor::{ExecCtx, Tensor};
 
 use crate::layer::{Layer, Mode};
-
-/// Rectified linear unit, `y = max(x, 0)`.
-///
-/// # Example
-///
-/// ```
-/// use ams_nn::{Layer, Mode, Relu};
-/// use ams_tensor::{ExecCtx, Tensor};
-///
-/// let mut relu = Relu::new("relu");
-/// let x = Tensor::from_vec(&[3], vec![-1.0, 0.0, 2.0]).unwrap();
-/// assert_eq!(relu.forward(&ExecCtx::serial(), &x, Mode::Eval).data(), &[0.0, 0.0, 2.0]);
-/// ```
-#[derive(Debug)]
-pub struct Relu {
-    name: String,
-    mask: Option<Vec<bool>>,
-}
-
-impl Relu {
-    /// Creates a ReLU layer.
-    pub fn new(name: impl Into<String>) -> Self {
-        Relu {
-            name: name.into(),
-            mask: None,
-        }
-    }
-}
-
-impl Layer for Relu {
-    fn forward(&mut self, _ctx: &ExecCtx, input: &Tensor, mode: Mode) -> Tensor {
-        if mode.is_train() {
-            self.mask = Some(input.data().iter().map(|&x| x > 0.0).collect());
-        }
-        input.map(|x| x.max(0.0))
-    }
-
-    fn backward(&mut self, _ctx: &ExecCtx, grad_output: &Tensor) -> Tensor {
-        let mask = self
-            .mask
-            .as_ref()
-            .expect("Relu::backward without a Train-mode forward");
-        assert_eq!(
-            mask.len(),
-            grad_output.len(),
-            "Relu::backward: shape changed since forward"
-        );
-        let data = grad_output
-            .data()
-            .iter()
-            .zip(mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(grad_output.dims(), data).expect("mask preserves length")
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
 
 /// DoReFa's bounded activation, `y = clamp(x, 0, 1)`.
 ///
@@ -132,15 +72,6 @@ impl Layer for ClippedRelu {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn relu_gradient_masks_negatives() {
-        let mut relu = Relu::new("r");
-        let x = Tensor::from_vec(&[4], vec![-2.0, -0.1, 0.1, 3.0]).unwrap();
-        relu.forward(&ExecCtx::serial(), &x, Mode::Train);
-        let dx = relu.backward(&ExecCtx::serial(), &Tensor::ones(&[4]));
-        assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 1.0]);
-    }
 
     #[test]
     fn clipped_relu_gradient_masks_both_sides() {

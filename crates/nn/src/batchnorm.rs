@@ -77,11 +77,6 @@ impl BatchNorm2d {
         }
     }
 
-    /// Number of normalized channels.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
     /// The running mean estimate (evaluation-mode statistics).
     pub fn running_mean(&self) -> &Tensor {
         &self.running_mean
@@ -90,27 +85,6 @@ impl BatchNorm2d {
     /// The running variance estimate (evaluation-mode statistics).
     pub fn running_var(&self) -> &Tensor {
         &self.running_var
-    }
-
-    /// The learned per-channel scale γ.
-    pub fn gamma(&self) -> &Tensor {
-        &self.gamma.value
-    }
-
-    /// The learned per-channel shift β.
-    pub fn beta(&self) -> &Tensor {
-        &self.beta.value
-    }
-
-    /// The epsilon added to the variance before the square root.
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-
-    /// Freezes or unfreezes both affine parameters (Table 2's "BN" rows).
-    pub fn set_frozen(&mut self, frozen: bool) {
-        self.gamma.frozen = frozen;
-        self.beta.frozen = frozen;
     }
 
     fn normalize(&self, input: &Tensor, means: &[f32], inv_std: &[f32]) -> Tensor {
@@ -353,15 +327,6 @@ mod tests {
                 "dx[{i}]: {num} vs {ana}"
             );
         }
-    }
-
-    #[test]
-    fn freezing_marks_both_affine_params() {
-        let mut bn = BatchNorm2d::new("bn", 4);
-        bn.set_frozen(true);
-        let mut frozen = Vec::new();
-        bn.for_each_param(&mut |p| frozen.push(p.frozen));
-        assert_eq!(frozen, vec![true, true]);
     }
 
     #[test]

@@ -22,17 +22,19 @@ use crate::layer::Layer;
 /// # Example
 ///
 /// ```
-/// use ams_nn::{Checkpoint, Layer, Linear, Mode};
-/// use ams_tensor::{rng, ExecCtx, Tensor};
+/// use ams_nn::{BatchNorm2d, Checkpoint, Layer, Mode};
+/// use ams_tensor::{ExecCtx, Tensor};
 ///
-/// let mut r = rng::seeded(0);
-/// let mut a = Linear::new("fc", 4, 2, &mut r);
+/// let ctx = ExecCtx::serial();
+/// let mut a = BatchNorm2d::new("bn", 2);
+/// let batch = Tensor::from_vec(&[2, 2, 1, 1], vec![1.0, 2.0, 3.0, 5.0]).unwrap();
+/// a.forward(&ctx, &batch, Mode::Train); // moves the running statistics
 /// let ckpt = Checkpoint::from_layer(&mut a);
 ///
-/// let mut b = Linear::new("fc", 4, 2, &mut r); // different init
+/// let mut b = BatchNorm2d::new("bn", 2); // fresh statistics
 /// ckpt.load_into(&mut b).unwrap();
-/// let x = Tensor::ones(&[1, 4]);
-/// assert_eq!(a.forward(&ExecCtx::serial(), &x, Mode::Eval).data(), b.forward(&ExecCtx::serial(), &x, Mode::Eval).data());
+/// let x = Tensor::ones(&[1, 2, 1, 1]);
+/// assert_eq!(a.forward(&ctx, &x, Mode::Eval), b.forward(&ctx, &x, Mode::Eval));
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Checkpoint {
@@ -226,16 +228,25 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchNorm2d, Mode, Sequential};
+    use crate::{BatchNorm2d, Mode};
     use ams_tensor::{rng, ExecCtx};
+
+    /// A batch norm whose parameters, gradients and running statistics
+    /// all differ from a fresh one's.
+    fn trained_bn(name: &str, channels: usize, seed: u64) -> BatchNorm2d {
+        let mut bn = BatchNorm2d::new(name, channels);
+        let mut x = Tensor::zeros(&[4, channels, 2, 2]);
+        rng::fill_normal(&mut x, 0.5, 2.0, &mut rng::seeded(seed));
+        let y = bn.forward(&ExecCtx::serial(), &x, Mode::Train);
+        bn.backward(&ExecCtx::serial(), &y);
+        crate::Sgd::with_momentum(0.1, 0.9).step(&mut bn);
+        bn
+    }
 
     #[test]
     fn round_trip_through_json() {
-        let mut r = rng::seeded(0);
-        let mut net = Sequential::new("net");
-        net.push(crate::Linear::new("fc", 3, 2, &mut r));
-        net.push(BatchNorm2dAdapter::new());
-        let ckpt = Checkpoint::from_layer(&mut net);
+        let mut bn = trained_bn("bn", 2, 0);
+        let ckpt = Checkpoint::from_layer(&mut bn);
         let dir = std::env::temp_dir().join("ams_nn_ckpt_test.json");
         ckpt.save_json(&dir).unwrap();
         let loaded = Checkpoint::load_json(&dir).unwrap();
@@ -247,48 +258,14 @@ mod tests {
         let _ = std::fs::remove_file(dir);
     }
 
-    // Minimal adapter so the Sequential above contains BN state too.
-    struct BatchNorm2dAdapter {
-        bn: BatchNorm2d,
-    }
-    impl BatchNorm2dAdapter {
-        fn new() -> Self {
-            BatchNorm2dAdapter {
-                bn: BatchNorm2d::new("bn", 2),
-            }
-        }
-    }
-    impl Layer for BatchNorm2dAdapter {
-        fn forward(&mut self, _ctx: &ExecCtx, x: &Tensor, _m: Mode) -> Tensor {
-            x.clone()
-        }
-        fn backward(&mut self, _ctx: &ExecCtx, g: &Tensor) -> Tensor {
-            g.clone()
-        }
-        fn for_each_param(&mut self, f: &mut dyn FnMut(&mut crate::Param)) {
-            self.bn.for_each_param(f)
-        }
-        fn for_each_state(&mut self, f: &mut dyn FnMut(&str, &mut Tensor)) {
-            self.bn.for_each_state(f)
-        }
-        fn name(&self) -> &str {
-            "bn_adapter"
-        }
-    }
-
     #[test]
     fn velocities_round_trip() {
-        let mut r = rng::seeded(4);
-        let mut a = crate::Linear::new("fc", 3, 2, &mut r);
-        // Give the momentum buffers non-trivial content via one real step.
-        let x = Tensor::ones(&[2, 3]);
-        let y = a.forward(&ExecCtx::serial(), &x, Mode::Train);
-        a.backward(&ExecCtx::serial(), &Tensor::ones(y.dims()));
-        crate::Sgd::with_momentum(0.1, 0.9).step(&mut a);
+        // One real momentum step gives the buffers non-trivial content.
+        let mut a = trained_bn("bn", 2, 4);
         let snap = Checkpoint::velocities_from(&mut a);
         assert!(!snap.is_empty());
 
-        let mut b = crate::Linear::new("fc", 3, 2, &mut r);
+        let mut b = BatchNorm2d::new("bn", 2);
         snap.load_velocities_into(&mut b).unwrap();
         let mut pairs = Vec::new();
         b.for_each_param(&mut |p| pairs.push((p.name().to_string(), p.velocity.clone())));
@@ -297,7 +274,7 @@ mod tests {
         }
 
         // A model with differently named params is rejected.
-        let mut c = crate::Linear::new("other", 3, 2, &mut r);
+        let mut c = BatchNorm2d::new("other", 2);
         assert!(matches!(
             snap.load_velocities_into(&mut c),
             Err(LoadError::Missing { .. })
@@ -306,21 +283,26 @@ mod tests {
 
     #[test]
     fn missing_entry_is_reported() {
-        let mut r = rng::seeded(0);
-        let mut a = crate::Linear::new("a", 2, 2, &mut r);
-        let ckpt = Checkpoint::from_layer(&mut a);
-        let mut b = crate::Linear::new("b", 2, 2, &mut r);
-        let err = ckpt.load_into(&mut b).unwrap_err();
+        let ckpt = Checkpoint::from_layer(&mut BatchNorm2d::new("a", 2));
+        let err = ckpt.load_into(&mut BatchNorm2d::new("b", 2)).unwrap_err();
         assert!(matches!(err, LoadError::Missing { .. }));
     }
 
     #[test]
     fn shape_mismatch_is_reported() {
-        let mut r = rng::seeded(0);
-        let mut a = crate::Linear::new("fc", 2, 2, &mut r);
-        let ckpt = Checkpoint::from_layer(&mut a);
-        let mut b = crate::Linear::new("fc", 3, 2, &mut r);
-        let err = ckpt.load_into(&mut b).unwrap_err();
+        let ckpt = Checkpoint::from_layer(&mut BatchNorm2d::new("bn", 2));
+        let err = ckpt.load_into(&mut BatchNorm2d::new("bn", 3)).unwrap_err();
         assert!(matches!(err, LoadError::ShapeMismatch { .. }));
+    }
+
+    #[test]
+    fn torn_tensor_fails_to_load() {
+        let path =
+            std::env::temp_dir().join(format!("ams_nn_ckpt_torn_{}.json", std::process::id()));
+        let torn = r#"{"entries":{"bn.gamma":{"dims":[2,2],"data":[1.0,2.0,3.0]}}}"#;
+        std::fs::write(&path, torn).unwrap();
+        let got = Checkpoint::load_json(&path);
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(got, Err(LoadError::Io(_))), "{got:?}");
     }
 }

@@ -1,12 +1,14 @@
-//! Functional cores shared between the plain layers here and the
-//! quantized/AMS layers in `ams-models`.
+//! Functional convolution and fully-connected cores of the quantized/AMS
+//! layers in `ams-models`.
 //!
 //! [`conv2d_forward`] / [`conv2d_backward`] and [`linear_forward`] /
 //! [`linear_backward`] operate on explicit weight matrices, so a caller can
 //! substitute a *quantized* weight for the stored full-precision one — the
 //! straight-through-estimator trick: the backward pass computes gradients
 //! with respect to the weight that was actually used, and the caller routes
-//! them to the shadow full-precision parameter.
+//! them to the shadow full-precision parameter. A training caller keeps
+//! its quantized input and weights in a [`ConvCache`] / [`LinearCache`]
+//! for the backward.
 
 use ams_tensor::{
     code_im2row_i16_in, code_rows_i16_in, conv_input_grad_in, conv_weight_grad_in, mat_to_nchw_in,
@@ -14,10 +16,10 @@ use ams_tensor::{
     Density, ExecCtx, Im2colPanel, PackedLhs, Tensor, Workspace,
 };
 
-/// Cache produced by [`conv2d_forward`], consumed by [`conv2d_backward`]:
-/// the forward's input and weights, from which the backward re-lowers one
-/// image at a time. A caller that owns both tensors (the quantized layers
-/// own their quantized input and weights) can build it by moving them in.
+/// The input and weights of a [`conv2d_forward`] call, consumed by
+/// [`conv2d_backward`], which re-lowers them one image at a time. The
+/// quantized layers build it by moving their quantized input and weights
+/// in.
 #[derive(Debug, Clone)]
 pub struct ConvCache {
     /// The input the forward convolved, `(N, C_in, H, W)`.
@@ -34,20 +36,16 @@ pub struct ConvCache {
 ///
 /// `weight_mat` is `(C_out, C_in·K_h·K_w)`; `weight_density` is the
 /// caller's knowledge of its zero fraction (quantized layers measure it
-/// once at quantize time; ad-hoc callers pass [`Density::Sample`]);
-/// `bias`, when present, is a length-`C_out` slice added per output
-/// channel. Returns the `(N, C_out, OH, OW)` output and, when
-/// `want_cache` is set, the cache for the backward pass.
+/// once at quantize time; ad-hoc callers pass [`Density::Sample`]).
+/// Returns the `(N, C_out, OH, OW)` output.
 ///
 /// No column matrix is built: the weights are packed into GEMM bands
 /// once, and each image is lowered straight into the GEMM's rhs panel
 /// ([`Im2colPanel`]) and multiplied into its own `(C_out, OH·OW)` block
 /// of the output, which already is that image's NCHW slice. Images are
 /// split across the context's workers. Every output element is one
-/// ascending-k chain plus bias, the one the batch product
-/// `W · im2col(input)` computes, so the result is the same bit for bit
-/// at any thread count. With `want_cache` set (training) the cache keeps
-/// pooled copies of `input` and `weight_mat`, not the column matrix.
+/// ascending-k chain, the one the batch product `W · im2col(input)`
+/// computes, so the result is the same bit for bit at any thread count.
 ///
 /// All intermediates (and the output) are drawn from the context's
 /// workspace and recycled back into it, so steady-state forwards
@@ -55,23 +53,20 @@ pub struct ConvCache {
 ///
 /// # Panics
 ///
-/// Panics on any shape disagreement between `input`, `weight_mat` and the
-/// geometry.
-#[allow(clippy::too_many_arguments)]
+/// Panics on any shape disagreement between `input`, `weight_mat` and
+/// `geom`.
 pub fn conv2d_forward(
     ctx: &ExecCtx,
     input: &Tensor,
     weight_mat: &Tensor,
     weight_density: Density,
-    bias: Option<&[f32]>,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    want_cache: bool,
-) -> (Tensor, Option<ConvCache>) {
-    let (n, c_in, h, w) = input.dims4();
-    let geom = ConvGeom::new(n, c_in, h, w, kh, kw, stride, pad);
+    geom: &ConvGeom,
+) -> Tensor {
+    assert_eq!(
+        input.dims4(),
+        (geom.n, geom.c_in, geom.h, geom.w),
+        "conv2d_forward: input disagrees with the geometry"
+    );
     assert_eq!(
         weight_mat.rank(),
         2,
@@ -85,44 +80,7 @@ pub fn conv2d_forward(
         weight_mat.dims()[1],
         geom.rows()
     );
-    if let Some(b) = bias {
-        assert_eq!(b.len(), c_out, "conv2d_forward: bias length != C_out");
-    }
     let ws = ctx.workspace();
-    let y = conv2d_per_image(ctx, input, weight_mat, weight_density, bias, &geom);
-    let cache = want_cache.then(|| ConvCache {
-        input: ws.clone_tensor(input),
-        geom,
-        weight_mat: ws.clone_tensor(weight_mat),
-    });
-    (y, cache)
-}
-
-/// Adds `bias[c]` to the `c`-th `len`-element run of `out`.
-fn add_bias(out: &mut [f32], bias: &[f32], len: usize) {
-    if len == 0 {
-        return;
-    }
-    for (run, &bv) in out.chunks_exact_mut(len).zip(bias) {
-        for v in run {
-            *v += bv;
-        }
-    }
-}
-
-/// The body of [`conv2d_forward`]: weights packed once, then one
-/// [`for_each_span`](ExecCtx::for_each_span) over images, each worker
-/// lowering and multiplying the images it owns.
-fn conv2d_per_image(
-    ctx: &ExecCtx,
-    input: &Tensor,
-    weight_mat: &Tensor,
-    weight_density: Density,
-    bias: Option<&[f32]>,
-    geom: &ConvGeom,
-) -> Tensor {
-    let ws = ctx.workspace();
-    let c_out = weight_mat.dims()[0];
     let mut y = ws.take_tensor(&[geom.n, c_out, geom.oh, geom.ow]);
     if y.is_empty() {
         return y;
@@ -134,20 +92,19 @@ fn conv2d_per_image(
         y.data_mut(),
         out_len,
         out_len * geom.rows(),
-        |first, span| forward_images(ws, &lhs, geom, bias, src, first, span),
+        |first, span| forward_images(ws, &lhs, geom, src, first, span),
     );
     lhs.recycle(ws);
     y
 }
 
-/// One worker's images of [`conv2d_per_image`]: `out` holds the NCHW outputs
+/// One worker's images of [`conv2d_forward`]: `out` holds the NCHW outputs
 /// of images `first..`, each lowered into the worker's own pooled panel
 /// and multiplied straight into its output block.
 fn forward_images(
     ws: &Workspace,
     lhs: &PackedLhs,
     geom: &ConvGeom,
-    bias: Option<&[f32]>,
     src: &[f32],
     first: usize,
     out: &mut [f32],
@@ -158,9 +115,6 @@ fn forward_images(
     for (i, y) in out.chunks_exact_mut(lhs.rows() * pixels).enumerate() {
         let image = &src[(first + i) * image_len..(first + i + 1) * image_len];
         lhs.gemm_into(lowering.lower(image), pixels, y);
-        if let Some(b) = bias {
-            add_bias(y, b, pixels);
-        }
     }
     lowering.recycle(ws);
 }
@@ -185,22 +139,20 @@ fn forward_images(
 ///
 /// Panics on any shape disagreement between `input`, `w_codes` and the
 /// geometry.
-#[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward_i8(
     ctx: &ExecCtx,
     input: &Tensor,
     w_codes: &[i8],
     w_scale: f32,
     w_sparse: bool,
-    bias: Option<&[f32]>,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
+    geom: &ConvGeom,
     c_out: usize,
 ) -> Tensor {
-    let (n, c_in, h, w) = input.dims4();
-    let geom = ConvGeom::new(n, c_in, h, w, kh, kw, stride, pad);
+    assert_eq!(
+        input.dims4(),
+        (geom.n, geom.c_in, geom.h, geom.w),
+        "conv2d_forward_i8: input disagrees with the geometry"
+    );
     assert_eq!(
         w_codes.len(),
         c_out * geom.rows(),
@@ -209,10 +161,10 @@ pub fn conv2d_forward_i8(
         c_out * geom.rows()
     );
     let ws = ctx.workspace();
-    let (apanel, ascale) = code_im2row_i16_in(ctx, input, &geom);
+    let (apanel, ascale) = code_im2row_i16_in(ctx, input, geom);
     let mut wpanel = ws.take_panel_i16(w_codes.len());
     pack_rows_i16(w_codes, &mut wpanel);
-    let mut ymat = matmul_i8_panels_in(
+    let ymat = matmul_i8_panels_in(
         ctx,
         c_out,
         geom.rows(),
@@ -225,55 +177,36 @@ pub fn conv2d_forward_i8(
     );
     ws.recycle_panel_i16(wpanel);
     ws.recycle_panel_i16(apanel);
-    if let Some(b) = bias {
-        assert_eq!(b.len(), c_out, "conv2d_forward_i8: bias length != C_out");
-        add_bias(ymat.data_mut(), b, geom.cols());
-    }
-    let y = mat_to_nchw_in(ctx, &ymat, &geom, c_out);
+    let y = mat_to_nchw_in(ctx, &ymat, geom, c_out);
     ws.recycle(ymat);
     y
 }
 
 /// Gradients of a convolution computed by [`conv2d_forward`].
 ///
-/// Returns `(d_input, d_weight_mat, d_bias)` where `d_weight_mat` has the
-/// weight-matrix shape `(C_out, C_in·K·K)` and `d_bias` is per output
-/// channel.
+/// Returns `(d_input, d_weight_mat)` where `d_weight_mat` has the
+/// weight-matrix shape `(C_out, C_in·K·K)`.
 ///
 /// Works one image at a time on the cached input, never on the batch's
 /// column matrix: [`conv_input_grad_in`] scatters each image's `Wᵀ·dY`
-/// through col2im, [`conv_weight_grad_in`] lowers each image into the
+/// through col2im, and [`conv_weight_grad_in`] lowers each image into the
 /// weight-gradient GEMM and continues every element's chain across the
-/// images in order, and the bias gradient sums each channel over the
 /// images in order. Each result equals, bit for bit and at any thread
-/// count, the batch form `col2im(Wᵀ·dY)`, `dY·im2col(x)ᵀ` and the
-/// per-channel `Iterator::sum` over `dY` as a `(C_out, N·OH·OW)` matrix.
+/// count, the batch form `col2im(Wᵀ·dY)` and `dY·im2col(x)ᵀ` with `dY` as
+/// a `(C_out, N·OH·OW)` matrix.
 ///
 /// # Panics
 ///
 /// Panics if `grad_output` disagrees with the cached geometry.
-pub fn conv2d_backward(
-    ctx: &ExecCtx,
-    cache: &ConvCache,
-    grad_output: &Tensor,
-) -> (Tensor, Tensor, Vec<f32>) {
+pub fn conv2d_backward(ctx: &ExecCtx, cache: &ConvCache, grad_output: &Tensor) -> (Tensor, Tensor) {
     let geom = &cache.geom;
     let dinput = conv_input_grad_in(ctx, &cache.weight_mat, grad_output, geom);
     let dweight = conv_weight_grad_in(ctx, &cache.input, grad_output, geom);
-    let c_out = dweight.dims()[0];
-    let plane = geom.oh * geom.ow;
-    let dy = grad_output.data();
-    let dbias = (0..c_out)
-        .map(|co| {
-            (0..geom.n)
-                .flat_map(|i| &dy[(i * c_out + co) * plane..(i * c_out + co + 1) * plane])
-                .sum()
-        })
-        .collect();
-    (dinput, dweight, dbias)
+    (dinput, dweight)
 }
 
-/// Cache produced by [`linear_forward`], consumed by [`linear_backward`].
+/// The input and weight of a [`linear_forward`] call, consumed by
+/// [`linear_backward`].
 #[derive(Debug, Clone)]
 pub struct LinearCache {
     /// The input batch `(N, in_features)`.
@@ -284,19 +217,13 @@ pub struct LinearCache {
 
 /// Fully-connected forward pass: `y = x · Wᵀ + b`.
 ///
-/// `input` is `(N, in_features)`, `weight` is `(out, in)`. Returns the
-/// `(N, out)` output and, when `want_cache` is set, the backward cache.
+/// `input` is `(N, in_features)`, `weight` is `(out, in)`, `bias` has
+/// length `out`. Returns the `(N, out)` output.
 ///
 /// # Panics
 ///
 /// Panics on shape disagreement.
-pub fn linear_forward(
-    ctx: &ExecCtx,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    want_cache: bool,
-) -> (Tensor, Option<LinearCache>) {
+pub fn linear_forward(ctx: &ExecCtx, input: &Tensor, weight: &Tensor, bias: &[f32]) -> Tensor {
     assert_eq!(input.rank(), 2, "linear_forward: input must be 2-D");
     assert_eq!(weight.rank(), 2, "linear_forward: weight must be 2-D");
     assert_eq!(
@@ -306,23 +233,21 @@ pub fn linear_forward(
         input.dims()[1],
         weight.dims()[1]
     );
+    let out = weight.dims()[0];
+    assert_eq!(
+        bias.len(),
+        out,
+        "linear_forward: bias length != out_features"
+    );
     let mut y = matmul_a_bt_in(ctx, input, weight);
-    if let Some(b) = bias {
-        let out = weight.dims()[0];
-        assert_eq!(b.len(), out, "linear_forward: bias length != out_features");
-        let n = input.dims()[0];
-        let yd = y.data_mut();
-        for r in 0..n {
-            for (j, &bv) in b.iter().enumerate() {
-                yd[r * out + j] += bv;
-            }
+    let n = input.dims()[0];
+    let yd = y.data_mut();
+    for r in 0..n {
+        for (j, &bv) in bias.iter().enumerate() {
+            yd[r * out + j] += bv;
         }
     }
-    let cache = want_cache.then(|| LinearCache {
-        input: ctx.workspace().clone_tensor(input),
-        weight: ctx.workspace().clone_tensor(weight),
-    });
-    (y, cache)
+    y
 }
 
 /// Eval-only fully-connected forward on the packed integer fast path:
@@ -412,7 +337,7 @@ mod tests {
     fn linear_forward_matches_manual() {
         let x = Tensor::from_vec(&[1, 2], vec![2.0, 3.0]).unwrap();
         let w = Tensor::from_vec(&[2, 2], vec![1.0, 0.0, 0.5, 0.5]).unwrap();
-        let (y, _) = linear_forward(&CTX, &x, &w, Some(&[0.1, -0.1]), false);
+        let y = linear_forward(&CTX, &x, &w, &[0.1, -0.1]);
         assert_eq!(y.dims(), &[1, 2]);
         assert!((y.data()[0] - 2.1).abs() < 1e-6);
         assert!((y.data()[1] - 2.4).abs() < 1e-6);
@@ -429,11 +354,15 @@ mod tests {
 
         // Loss = sum(y²)/2 so dL/dy = y.
         let loss = |w_: &Tensor, x_: &Tensor| -> f32 {
-            let (y, _) = linear_forward(&CTX, x_, w_, Some(&b), false);
+            let y = linear_forward(&CTX, x_, w_, &b);
             0.5 * y.data().iter().map(|v| v * v).sum::<f32>()
         };
-        let (y, cache) = linear_forward(&CTX, &x, &w, Some(&b), true);
-        let (dx, dw, _db) = linear_backward(&CTX, cache.as_ref().unwrap(), &y);
+        let y = linear_forward(&CTX, &x, &w, &b);
+        let cache = LinearCache {
+            input: x.clone(),
+            weight: w.clone(),
+        };
+        let (dx, dw, _db) = linear_backward(&CTX, &cache, &y);
 
         let eps = 1e-3;
         for i in [0usize, 3, 7] {
@@ -469,36 +398,19 @@ mod tests {
         rng::fill_normal(&mut x, 0.0, 1.0, &mut r);
         let mut wmat = Tensor::zeros(&[3, 2 * 3 * 3]);
         rng::fill_normal(&mut wmat, 0.0, 0.5, &mut r);
-        let bias = vec![0.1f32, -0.1, 0.05];
+        let geom = ConvGeom::new(2, 2, 5, 5, 3, 3, 2, 1);
 
         let loss = |w_: &Tensor, x_: &Tensor| -> f32 {
-            let (y, _) = conv2d_forward(
-                &CTX,
-                x_,
-                w_,
-                Density::Sample,
-                Some(&bias),
-                3,
-                3,
-                2,
-                1,
-                false,
-            );
+            let y = conv2d_forward(&CTX, x_, w_, Density::Sample, &geom);
             0.5 * y.data().iter().map(|v| v * v).sum::<f32>()
         };
-        let (y, cache) = conv2d_forward(
-            &CTX,
-            &x,
-            &wmat,
-            Density::Sample,
-            Some(&bias),
-            3,
-            3,
-            2,
-            1,
-            true,
-        );
-        let (dx, dw, db) = conv2d_backward(&CTX, cache.as_ref().unwrap(), &y);
+        let y = conv2d_forward(&CTX, &x, &wmat, Density::Sample, &geom);
+        let cache = ConvCache {
+            input: x.clone(),
+            geom,
+            weight_mat: wmat.clone(),
+        };
+        let (dx, dw) = conv2d_backward(&CTX, &cache, &y);
 
         let eps = 1e-2;
         for i in [0usize, 10, 40] {
@@ -525,8 +437,6 @@ mod tests {
                 "dx[{i}]: {num} vs {ana}"
             );
         }
-        // Bias gradient equals the sum of dy per channel; sanity only.
-        assert_eq!(db.len(), 3);
     }
 
     /// The statistical acceptance bound for one i8-path output element
@@ -545,21 +455,10 @@ mod tests {
         rng::fill_uniform(&mut x, 0.0, 1.0, &mut r);
         let mut wmat = Tensor::zeros(&[4, 27]);
         rng::fill_uniform(&mut wmat, -1.0, 1.0, &mut r);
-        let bias = [0.2f32, -0.1, 0.0, 0.4];
-        let (want, _) = conv2d_forward(
-            &CTX,
-            &x,
-            &wmat,
-            Density::Sample,
-            Some(&bias),
-            3,
-            3,
-            1,
-            1,
-            false,
-        );
+        let geom = ConvGeom::new(2, 3, 8, 8, 3, 3, 1, 1);
+        let want = conv2d_forward(&CTX, &x, &wmat, Density::Sample, &geom);
         let (wc, wscale) = quantize_symmetric_i8(wmat.data());
-        let got = conv2d_forward_i8(&CTX, &x, &wc, wscale, false, Some(&bias), 3, 3, 1, 1, 4);
+        let got = conv2d_forward_i8(&CTX, &x, &wc, wscale, false, &geom, 4);
         assert_eq!(got.dims(), want.dims());
         let bound = i8_bound(27, x.max_abs(), wmat.max_abs());
         for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
@@ -578,7 +477,7 @@ mod tests {
         let mut w = Tensor::zeros(&[5, 16]);
         rng::fill_uniform(&mut w, -1.0, 1.0, &mut r);
         let bias: Vec<f32> = (0..5).map(|i| i as f32 * 0.1).collect();
-        let (want, _) = linear_forward(&CTX, &x, &w, Some(&bias), false);
+        let want = linear_forward(&CTX, &x, &w, &bias);
         let (wc, wscale) = quantize_symmetric_i8(w.data());
         let got = linear_forward_i8(&CTX, &x, &wc, wscale, Some(&bias), 5);
         assert_eq!(got.dims(), want.dims());
@@ -586,27 +485,5 @@ mod tests {
         for (g, v) in got.data().iter().zip(want.data()) {
             assert!((g - v).abs() <= bound, "i8 {g} vs f32 {v}, bound {bound}");
         }
-    }
-
-    #[test]
-    fn conv_bias_shifts_every_output() {
-        let x = Tensor::zeros(&[1, 1, 3, 3]);
-        let w = Tensor::zeros(&[2, 9]);
-        let (y, _) = conv2d_forward(
-            &CTX,
-            &x,
-            &w,
-            Density::Sample,
-            Some(&[1.5, -2.0]),
-            3,
-            3,
-            1,
-            1,
-            false,
-        );
-        let (_, c, oh, ow) = y.dims4();
-        assert_eq!((c, oh, ow), (2, 3, 3));
-        assert!(y.data()[..9].iter().all(|&v| v == 1.5));
-        assert!(y.data()[9..].iter().all(|&v| v == -2.0));
     }
 }

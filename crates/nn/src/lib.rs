@@ -14,31 +14,32 @@
 //!
 //! * [`Layer`] — the forward/backward contract; [`Mode`] selects
 //!   training vs evaluation behaviour (batch-norm statistics, caching).
-//! * Layers: [`Conv2d`], [`Linear`], [`BatchNorm2d`], [`Relu`],
-//!   [`ClippedRelu`] (DoReFa's ReLU that clips at 1), [`MaxPool2d`],
-//!   [`GlobalAvgPool`], [`Flatten`], [`Sequential`].
+//! * Layers: [`BatchNorm2d`], [`ClippedRelu`] (DoReFa's ReLU that clips
+//!   at 1), [`MaxPool2d`], [`GlobalAvgPool`], [`Flatten`]. The
+//!   convolutions and fully-connected layers are the quantized/AMS ones
+//!   in `ams-models`.
 //! * [`softmax_cross_entropy`] — loss and logits gradient in one pass.
 //! * [`Sgd`] — SGD with momentum and weight decay, honouring
 //!   [`Param::frozen`] (the paper's Table 2 selective-freezing study).
 //! * [`Checkpoint`] — named-tensor state save/load (JSON), used to move
 //!   weights between the FP32 network and its quantized/AMS twin.
-//! * [`functional`] — the reusable convolution/linear cores shared with the
-//!   quantized layers in `ams-models`.
+//! * [`functional`] — the convolution/linear cores of the quantized
+//!   layers in `ams-models`.
 //!
 //! # Example
 //!
 //! ```
-//! use ams_nn::{Layer, Linear, Mode, Sgd, softmax_cross_entropy};
-//! use ams_tensor::{rng, ExecCtx, Tensor};
+//! use ams_nn::{softmax_cross_entropy, BatchNorm2d, Layer, Mode, Sgd};
+//! use ams_tensor::{ExecCtx, Tensor};
 //!
-//! let mut rng = rng::seeded(0);
-//! let mut layer = Linear::new("fc", 4, 3, &mut rng);
-//! let x = Tensor::ones(&[2, 4]);
-//! let logits = layer.forward(&ExecCtx::serial(), &x, Mode::Train);
+//! let ctx = ExecCtx::serial();
+//! let mut bn = BatchNorm2d::new("bn", 3);
+//! let x = Tensor::from_vec(&[2, 3, 1, 1], vec![0.5, 1.0, -1.0, 2.0, 0.0, 1.0]).unwrap();
+//! let logits = bn.forward(&ctx, &x, Mode::Train).reshaped(&[2, 3]);
 //! let (loss, dlogits) = softmax_cross_entropy(&logits, &[0, 2]);
 //! assert!(loss > 0.0);
-//! layer.backward(&ExecCtx::serial(), &dlogits);
-//! Sgd::new(0.1).step(&mut layer);
+//! bn.backward(&ctx, &dlogits.reshaped(&[2, 3, 1, 1]));
+//! Sgd::new(0.1).step(&mut bn);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,23 +49,19 @@ mod activations;
 mod batchnorm;
 mod checkpoint;
 mod container;
-mod conv;
 pub mod functional;
 mod layer;
-mod linear;
 mod loss;
 mod optim;
 mod param;
 mod pool;
 
-pub use activations::{ClippedRelu, Relu};
+pub use activations::ClippedRelu;
 pub use ams_tensor::{ExecCtx, Parallelism};
 pub use batchnorm::BatchNorm2d;
 pub use checkpoint::{Checkpoint, LoadError};
-pub use container::{Flatten, Sequential};
-pub use conv::Conv2d;
+pub use container::Flatten;
 pub use layer::{Layer, Mode};
-pub use linear::Linear;
 pub use loss::{accuracy, softmax_cross_entropy};
 pub use optim::Sgd;
 pub use param::Param;

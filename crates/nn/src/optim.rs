@@ -18,19 +18,20 @@ use crate::layer::Layer;
 /// # Example
 ///
 /// ```
-/// use ams_nn::{Layer, Linear, Mode, Sgd, softmax_cross_entropy};
-/// use ams_tensor::{rng, ExecCtx, Tensor};
+/// use ams_nn::{softmax_cross_entropy, BatchNorm2d, Layer, Mode, Sgd};
+/// use ams_tensor::{ExecCtx, Tensor};
 ///
-/// let mut r = rng::seeded(0);
-/// let mut net = Linear::new("fc", 4, 2, &mut r);
+/// // Batch norm over (N, 2, 1, 1) maps a constant batch to its shift β,
+/// // which SGD then trains as the logits of class 0.
+/// let mut net = BatchNorm2d::new("bn", 2);
 /// let opt = Sgd::with_momentum(0.05, 0.9);
-/// let x = Tensor::ones(&[8, 4]);
+/// let x = Tensor::ones(&[8, 2, 1, 1]);
 /// let labels = vec![0usize; 8];
 /// let mut last = f32::INFINITY;
 /// for _ in 0..20 {
-///     let logits = net.forward(&ExecCtx::serial(), &x, Mode::Train);
+///     let logits = net.forward(&ExecCtx::serial(), &x, Mode::Train).reshaped(&[8, 2]);
 ///     let (loss, grad) = softmax_cross_entropy(&logits, &labels);
-///     net.backward(&ExecCtx::serial(), &grad);
+///     net.backward(&ExecCtx::serial(), &grad.reshaped(&[8, 2, 1, 1]));
 ///     opt.step(&mut net);
 ///     last = loss;
 /// }
@@ -96,67 +97,74 @@ impl Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Linear, Mode};
+    use crate::{BatchNorm2d, Mode, Param};
     use ams_tensor::{rng, ExecCtx, Tensor};
+
+    /// An identity layer over one parameter whose backward adds a
+    /// constant gradient of 1 to every element.
+    struct Ones {
+        p: Param,
+    }
+
+    impl Layer for Ones {
+        fn forward(&mut self, _ctx: &ExecCtx, x: &Tensor, _m: Mode) -> Tensor {
+            x.clone()
+        }
+        fn backward(&mut self, _ctx: &ExecCtx, g: &Tensor) -> Tensor {
+            for v in self.p.grad.data_mut() {
+                *v += 1.0;
+            }
+            g.clone()
+        }
+        fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            f(&mut self.p)
+        }
+        fn name(&self) -> &str {
+            "ones"
+        }
+    }
 
     #[test]
     fn frozen_params_do_not_move() {
-        let mut r = rng::seeded(0);
-        let mut fc = Linear::new("fc", 3, 2, &mut r);
-        fc.for_each_param(&mut |p| p.frozen = true);
+        let mut bn = BatchNorm2d::new("bn", 2);
+        bn.for_each_param(&mut |p| p.frozen = true);
         let before: Vec<f32> = {
             let mut v = Vec::new();
-            fc.for_each_param(&mut |p| v.extend_from_slice(p.value.data()));
+            bn.for_each_param(&mut |p| v.extend_from_slice(p.value.data()));
             v
         };
-        let x = Tensor::ones(&[2, 3]);
-        let y = fc.forward(&ExecCtx::serial(), &x, Mode::Train);
-        fc.backward(&ExecCtx::serial(), &Tensor::ones(y.dims()));
-        Sgd::new(1.0).step(&mut fc);
+        let mut x = Tensor::zeros(&[2, 2, 2, 2]);
+        rng::fill_normal(&mut x, 0.0, 1.0, &mut rng::seeded(0));
+        let y = bn.forward(&ExecCtx::serial(), &x, Mode::Train);
+        bn.backward(&ExecCtx::serial(), &Tensor::ones(y.dims()));
+        Sgd::new(1.0).step(&mut bn);
         let after: Vec<f32> = {
             let mut v = Vec::new();
-            fc.for_each_param(&mut |p| v.extend_from_slice(p.value.data()));
+            bn.for_each_param(&mut |p| v.extend_from_slice(p.value.data()));
             v
         };
         assert_eq!(before, after);
         // Gradients are still cleared.
-        fc.for_each_param(&mut |p| assert_eq!(p.grad.max_abs(), 0.0));
+        bn.for_each_param(&mut |p| assert_eq!(p.grad.max_abs(), 0.0));
     }
 
     #[test]
     fn weight_decay_shrinks_weights_without_gradient() {
-        let mut r = rng::seeded(1);
-        let mut fc = Linear::new("fc", 2, 2, &mut r);
-        let norm_before: f32 = fc.weight().value.data().iter().map(|v| v * v).sum();
+        let w = Tensor::from_vec(&[3], vec![0.5, -1.0, 2.0]).unwrap();
+        let mut m = Ones {
+            p: Param::new("w", w),
+        };
+        let norm_before: f32 = m.p.value.data().iter().map(|v| v * v).sum();
         // No backward: gradient is zero, decay still pulls weights in.
-        Sgd::new(0.1).weight_decay(0.5).step(&mut fc);
-        let norm_after: f32 = fc.weight().value.data().iter().map(|v| v * v).sum();
+        Sgd::new(0.1).weight_decay(0.5).step(&mut m);
+        let norm_after: f32 = m.p.value.data().iter().map(|v| v * v).sum();
         assert!(norm_after < norm_before);
     }
 
     #[test]
     fn momentum_accelerates_along_constant_gradient() {
         // Single scalar parameter, constant gradient of 1.
-        use crate::Param;
-        struct One {
-            p: Param,
-        }
-        impl crate::Layer for One {
-            fn forward(&mut self, _ctx: &ExecCtx, x: &Tensor, _m: Mode) -> Tensor {
-                x.clone()
-            }
-            fn backward(&mut self, _ctx: &ExecCtx, g: &Tensor) -> Tensor {
-                self.p.grad.data_mut()[0] += 1.0;
-                g.clone()
-            }
-            fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
-                f(&mut self.p)
-            }
-            fn name(&self) -> &str {
-                "one"
-            }
-        }
-        let mut m = One {
+        let mut m = Ones {
             p: Param::new("w", Tensor::zeros(&[1])),
         };
         let opt = Sgd::with_momentum(1.0, 0.9);

@@ -1,8 +1,8 @@
 //! The convolution forward lowers one image at a time straight into the
-//! f32 GEMM's rhs panel and multiplies into the NCHW output, with and
-//! without a training cache. Both must equal the batch im2col path
-//! (`im2col`, `matmul_hinted_in`, bias, NCHW transpose — written out here
-//! as the oracle) bit for bit, at any thread count, on every kernel the
+//! f32 GEMM's rhs panel and multiplies into the NCHW output; training and
+//! eval run the same forward. Serially and threaded, it must equal the
+//! batch im2col path (`im2col`, `matmul_hinted_in`, NCHW transpose —
+//! written out here as the oracle) bit for bit, on every kernel the
 //! weight density picks; and the lowering must equal
 //! `pack_rhs_in(im2col(image))` bit for bit. Comparisons go through
 //! `f32::to_bits`, so a `-0.0` that turns into `0.0` fails.
@@ -73,36 +73,19 @@ fn with_inf(mut x: Tensor, seed: u64) -> Tensor {
     x
 }
 
-/// The batch im2col forward, serially: `W · im2col(x)` plus bias, as NCHW.
-fn batch_forward(
-    x: &Tensor,
-    w: &Tensor,
-    density: Density,
-    bias: Option<&[f32]>,
-    geom: &ConvGeom,
-) -> Tensor {
+/// The batch im2col forward, serially: `W · im2col(x)` as NCHW.
+fn batch_forward(x: &Tensor, w: &Tensor, density: Density, geom: &ConvGeom) -> Tensor {
     let cols = im2col(x, geom);
-    let mut ymat = matmul_hinted_in(&ExecCtx::serial(), w, &cols, density);
-    if let Some(b) = bias {
-        let len = geom.cols();
-        for (co, &bv) in b.iter().enumerate() {
-            for v in &mut ymat.data_mut()[co * len..(co + 1) * len] {
-                *v += bv;
-            }
-        }
-    }
+    let ymat = matmul_hinted_in(&ExecCtx::serial(), w, &cols, density);
     mat_to_nchw(&ymat, geom, w.dims()[0])
 }
 
-/// Runs the eval conv at `threads` and the train conv serially, checks
-/// both against the batch forward, and the lowering against
-/// `pack_rhs_in(im2col)`.
-#[allow(clippy::too_many_arguments)]
+/// Runs the conv serially and at `threads`, checks both against the batch
+/// forward, and the lowering against `pack_rhs_in(im2col)`.
 fn check(
     x: &Tensor,
     w: &Tensor,
     density: Density,
-    bias: Option<&[f32]>,
     k: usize,
     stride: usize,
     pad: usize,
@@ -111,13 +94,11 @@ fn check(
     let serial = ExecCtx::serial();
     let (n, c, h, wd) = x.dims4();
     let geom = ConvGeom::new(n, c, h, wd, k, k, stride, pad);
-    let want = batch_forward(x, w, density, bias, &geom);
-    let (train, cache) = conv2d_forward(&serial, x, w, density, bias, k, k, stride, pad, true);
-    prop_assert!(cache.is_some());
+    let want = batch_forward(x, w, density, &geom);
+    let train = conv2d_forward(&serial, x, w, density, &geom);
     prop_assert_eq!(bits(train.data()), bits(want.data()));
     let ctx = eager(threads);
-    let (got, none) = conv2d_forward(&ctx, x, w, density, bias, k, k, stride, pad, false);
-    prop_assert!(none.is_none());
+    let got = conv2d_forward(&ctx, x, w, density, &geom);
     prop_assert_eq!(got.dims(), want.dims());
     prop_assert_eq!(bits(got.data()), bits(want.data()));
     if threads > 1 && n > 1 {
@@ -143,8 +124,8 @@ proptest! {
 
     /// Kernels 1/3/5, padding 0–2, strides 1–2, batches 1–3, ragged
     /// `C_out` and pixel counts, dense and sparse weights (both density
-    /// hints), bias on and off, an infinite activation in a quarter of
-    /// the cases, at 1, 2 and 8 threads.
+    /// hints), an infinite activation in a quarter of the cases, at 1, 2
+    /// and 8 threads.
     #[test]
     fn eval_conv_equals_train_conv_bit_for_bit(
         n in 1usize..4,
@@ -157,7 +138,6 @@ proptest! {
         stride in 1usize..3,
         sparse in 0u8..2,
         measured in 0u8..2,
-        with_bias in 0u8..2,
         inf in 0u8..4,
         threads in 0usize..3,
         seed in 0u64..1_000_000,
@@ -171,9 +151,7 @@ proptest! {
         }
         let wm = weights(kind, c_out, c_in * k * k, seed + 1);
         let density = if measured == 1 { Density::measure(wm.data()) } else { Density::Sample };
-        let bias = random(&[c_out], seed + 2);
-        let bias = (with_bias == 1).then_some(bias.data());
-        check(&x, &wm, density, bias, k, stride, pad, threads)?;
+        check(&x, &wm, density, k, stride, pad, threads)?;
     }
 }
 
@@ -199,13 +177,10 @@ fn eval_conv_edges_equal_train_conv() {
         for x in [finite.clone(), with_inf(finite, i as u64)] {
             for kind in [Weights::Dense, Weights::Sparse] {
                 let wm = weights(kind, c_out, c_in * k * k, 100 + i as u64);
-                let bias = random(&[c_out], 200 + i as u64);
                 for threads in [1, 2, 8] {
-                    for b in [None, Some(bias.data())] {
-                        for density in [Density::Sample, Density::measure(wm.data())] {
-                            check(&x, &wm, density, b, k, stride, pad, threads)
-                                .unwrap_or_else(|e| panic!("case {i} {kind:?} t={threads}: {e:?}"));
-                        }
+                    for density in [Density::Sample, Density::measure(wm.data())] {
+                        check(&x, &wm, density, k, stride, pad, threads)
+                            .unwrap_or_else(|e| panic!("case {i} {kind:?} t={threads}: {e:?}"));
                     }
                 }
             }
@@ -214,14 +189,12 @@ fn eval_conv_edges_equal_train_conv() {
 }
 
 /// An image with no pixels and a padded kernel reads only padding: the
-/// per-image path returns the bias, like the batch path.
+/// per-image path returns zeros, like the batch path.
 #[test]
 fn empty_image_reads_only_padding() {
     let x = Tensor::zeros(&[2, 3, 0, 0]);
     let wm = random(&[4, 3], 1);
-    let bias = random(&[4], 2);
-    let b = Some(bias.data());
     for threads in [1, 2] {
-        check(&x, &wm, Density::Sample, b, 1, 1, 1, threads).expect("empty image");
+        check(&x, &wm, Density::Sample, 1, 1, 1, threads).expect("empty image");
     }
 }

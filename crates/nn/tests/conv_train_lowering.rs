@@ -1,16 +1,16 @@
 //! The training convolution runs on the per-image lowering: its forward is
 //! the eval forward, its cache keeps the input instead of the batch's
 //! column matrix, and its backward works one image at a time. Forward
-//! and all three gradients must equal the batch im2col path bit for bit,
-//! at any thread count. The oracle here is that batch path, written out
+//! and both gradients must equal the batch im2col path bit for bit, at
+//! any thread count. The oracle here is that batch path, written out
 //! with the public kernels: `im2col` → `matmul_hinted_in` → NCHW for the
 //! forward, and for the backward an NCHW → `(C_out, N·OH·OW)` transpose,
-//! `matmul_a_bt` against the columns (dW), `matmul_at_b` by the weights
-//! then `col2im` (dX), and a per-channel `Iterator::sum` (dbias).
+//! `matmul_a_bt` against the columns (dW), and `matmul_at_b` by the
+//! weights then `col2im` (dX).
 //! Comparisons go through `f32::to_bits`, so a `-0.0` that turns into
 //! `0.0` fails.
 
-use ams_nn::functional::{conv2d_backward, conv2d_forward};
+use ams_nn::functional::{conv2d_backward, conv2d_forward, ConvCache};
 use ams_tensor::{
     col2im, im2col, mat_to_nchw, matmul_a_bt, matmul_at_b, matmul_hinted_in, rng, ConvGeom,
     Density, ExecCtx, Parallelism, Tensor,
@@ -68,27 +68,17 @@ fn with_inf(mut dy: Tensor, seed: u64) -> Tensor {
     dy
 }
 
-/// The batch im2col forward and backward, serially: `(y, dx, dw, db)`.
-#[allow(clippy::too_many_arguments)]
+/// The batch im2col forward and backward, serially: `(y, dx, dw)`.
 fn batch_path(
     x: &Tensor,
     w: &Tensor,
     density: Density,
-    bias: Option<&[f32]>,
     geom: &ConvGeom,
     dy: &Tensor,
-) -> (Tensor, Tensor, Tensor, Vec<f32>) {
+) -> (Tensor, Tensor, Tensor) {
     let c_out = w.dims()[0];
     let cols = im2col(x, geom);
-    let mut ymat = matmul_hinted_in(&ExecCtx::serial(), w, &cols, density);
-    if let Some(b) = bias {
-        let len = geom.cols();
-        for (co, &bv) in b.iter().enumerate() {
-            for v in &mut ymat.data_mut()[co * len..(co + 1) * len] {
-                *v += bv;
-            }
-        }
-    }
+    let ymat = matmul_hinted_in(&ExecCtx::serial(), w, &cols, density);
     let y = mat_to_nchw(&ymat, geom, c_out);
 
     let plane = geom.oh * geom.ow;
@@ -102,11 +92,7 @@ fn batch_path(
     }
     let dw = matmul_a_bt(&dymat, &cols);
     let dx = col2im(&matmul_at_b(w, &dymat), geom);
-    let ncols = geom.cols();
-    let db = (0..c_out)
-        .map(|co| dymat.data()[co * ncols..(co + 1) * ncols].iter().sum())
-        .collect();
-    (y, dx, dw, db)
+    (y, dx, dw)
 }
 
 /// Runs the training conv at `threads` and checks forward and backward
@@ -116,7 +102,6 @@ fn check(
     x: &Tensor,
     w: &Tensor,
     density: Density,
-    bias: Option<&[f32]>,
     k: usize,
     stride: usize,
     pad: usize,
@@ -131,20 +116,22 @@ fn check(
     if dy_inf {
         dy = with_inf(dy, seed);
     }
-    let (want_y, want_dx, want_dw, want_db) = batch_path(x, w, density, bias, &geom, &dy);
+    let (want_y, want_dx, want_dw) = batch_path(x, w, density, &geom, &dy);
 
     let ctx = eager(threads);
-    let (y, cache) = conv2d_forward(&ctx, x, w, density, bias, k, k, stride, pad, true);
-    let cache = cache.expect("a train forward returns its cache");
-    prop_assert_eq!(cache.input.dims(), x.dims());
+    let y = conv2d_forward(&ctx, x, w, density, &geom);
     prop_assert_eq!(y.dims(), want_y.dims());
     prop_assert_eq!(bits(y.data()), bits(want_y.data()), "forward");
-    let (dx, dw, db) = conv2d_backward(&ctx, &cache, &dy);
+    let cache = ConvCache {
+        input: x.clone(),
+        geom,
+        weight_mat: w.clone(),
+    };
+    let (dx, dw) = conv2d_backward(&ctx, &cache, &dy);
     prop_assert_eq!(dx.dims(), x.dims());
     prop_assert_eq!(bits(dx.data()), bits(want_dx.data()), "d_input");
     prop_assert_eq!(dw.dims(), want_dw.dims());
     prop_assert_eq!(bits(dw.data()), bits(want_dw.data()), "d_weight");
-    prop_assert_eq!(bits(&db), bits(&want_db), "d_bias");
     if threads > 1 && n > 1 {
         prop_assert!(ctx.parallel_dispatch_count() > 0, "work was not split");
     }
@@ -156,8 +143,8 @@ proptest! {
 
     /// Kernels 1/3/5, padding 0–2, strides 1–2, batches of 0, 1 and 7,
     /// ragged `C_out` and pixel counts, dense and sparse weights (both
-    /// density hints), bias on and off, an infinite output gradient in a
-    /// quarter of the cases, at 1, 2 and 8 threads.
+    /// density hints), an infinite output gradient in a quarter of the
+    /// cases, at 1, 2 and 8 threads.
     #[test]
     fn train_conv_equals_the_batch_path_bit_for_bit(
         batch in 0usize..3,
@@ -170,7 +157,6 @@ proptest! {
         stride in 1usize..3,
         sparse in 0u8..2,
         measured in 0u8..2,
-        with_bias in 0u8..2,
         inf in 0u8..4,
         threads in 0usize..3,
         seed in 0u64..1_000_000,
@@ -180,9 +166,7 @@ proptest! {
         let x = random(&[n, c_in, h, w], seed);
         let wm = weights(sparse == 1, c_out, c_in * k * k, seed + 1);
         let density = if measured == 1 { Density::measure(wm.data()) } else { Density::Sample };
-        let bias = random(&[c_out], seed + 2);
-        let bias = (with_bias == 1).then_some(bias.data());
-        check(&x, &wm, density, bias, k, stride, pad, inf == 0, threads, seed)?;
+        check(&x, &wm, density, k, stride, pad, inf == 0, threads, seed)?;
     }
 }
 
@@ -207,18 +191,14 @@ fn train_conv_edges_equal_the_batch_path() {
     for (i, &(n, c_in, c_out, h, w, k, stride, pad)) in cases.iter().enumerate() {
         let seed = i as u64;
         let x = random(&[n, c_in, h, w], seed);
-        let bias = random(&[c_out], 200 + seed);
         for sparse in [false, true] {
             let wm = weights(sparse, c_out, c_in * k * k, 100 + seed);
             for dy_inf in [false, true] {
                 for threads in [1, 2, 8] {
-                    for b in [None, Some(bias.data())] {
-                        let density = Density::measure(wm.data());
-                        check(&x, &wm, density, b, k, stride, pad, dy_inf, threads, seed)
-                            .unwrap_or_else(|e| {
-                                panic!("case {i} sparse={sparse} inf={dy_inf} t={threads}: {e:?}")
-                            });
-                    }
+                    let density = Density::measure(wm.data());
+                    check(&x, &wm, density, k, stride, pad, dy_inf, threads, seed).unwrap_or_else(
+                        |e| panic!("case {i} sparse={sparse} inf={dy_inf} t={threads}: {e:?}"),
+                    );
                 }
             }
         }

@@ -2,8 +2,10 @@
 //! contract promises bit-identical outputs for any thread count, so these
 //! tests compare with `assert_eq!` — no tolerances.
 
-use ams_nn::functional::{conv2d_backward, conv2d_forward, linear_backward, linear_forward};
-use ams_tensor::{rng, Density, ExecCtx, Parallelism, Tensor};
+use ams_nn::functional::{
+    conv2d_backward, conv2d_forward, linear_backward, linear_forward, ConvCache, LinearCache,
+};
+use ams_tensor::{rng, ConvGeom, Density, ExecCtx, Parallelism, Tensor};
 use proptest::prelude::*;
 
 fn random(dims: &[usize], seed: u64) -> Tensor {
@@ -31,20 +33,20 @@ proptest! {
         prop_assume!(hw >= k);
         let x = random(&[n, c_in, hw, hw], seed);
         let wmat = random(&[c_out, c_in * k * k], seed + 1);
-        let bias = random(&[c_out], seed + 2);
+        let geom = ConvGeom::new(n, c_in, hw, hw, k, k, 1, k / 2);
         let serial = ExecCtx::serial();
         let par = ExecCtx::new(Parallelism { threads, min_work: 0 });
 
-        let (y_s, cache_s) = conv2d_forward(&serial, &x, &wmat, Density::Sample, Some(bias.data()), k, k, 1, k / 2, true);
-        let (y_p, cache_p) = conv2d_forward(&par, &x, &wmat, Density::Sample, Some(bias.data()), k, k, 1, k / 2, true);
+        let y_s = conv2d_forward(&serial, &x, &wmat, Density::Sample, &geom);
+        let y_p = conv2d_forward(&par, &x, &wmat, Density::Sample, &geom);
         prop_assert_eq!(&y_s, &y_p);
 
         let grad = random(y_s.dims(), seed + 3);
-        let (dx_s, dw_s, db_s) = conv2d_backward(&serial, &cache_s.unwrap(), &grad);
-        let (dx_p, dw_p, db_p) = conv2d_backward(&par, &cache_p.unwrap(), &grad);
+        let cache = ConvCache { input: x, geom, weight_mat: wmat };
+        let (dx_s, dw_s) = conv2d_backward(&serial, &cache, &grad);
+        let (dx_p, dw_p) = conv2d_backward(&par, &cache, &grad);
         prop_assert_eq!(dx_s, dx_p);
         prop_assert_eq!(dw_s, dw_p);
-        prop_assert_eq!(db_s, db_p);
     }
 
     /// Forward and backward linear are bit-identical across thread counts.
@@ -62,13 +64,14 @@ proptest! {
         let serial = ExecCtx::serial();
         let par = ExecCtx::new(Parallelism { threads, min_work: 0 });
 
-        let (y_s, cache_s) = linear_forward(&serial, &x, &w, Some(bias.data()), true);
-        let (y_p, cache_p) = linear_forward(&par, &x, &w, Some(bias.data()), true);
+        let y_s = linear_forward(&serial, &x, &w, bias.data());
+        let y_p = linear_forward(&par, &x, &w, bias.data());
         prop_assert_eq!(&y_s, &y_p);
 
         let grad = random(y_s.dims(), seed + 3);
-        let (dx_s, dw_s, db_s) = linear_backward(&serial, &cache_s.unwrap(), &grad);
-        let (dx_p, dw_p, db_p) = linear_backward(&par, &cache_p.unwrap(), &grad);
+        let cache = LinearCache { input: x, weight: w };
+        let (dx_s, dw_s, db_s) = linear_backward(&serial, &cache, &grad);
+        let (dx_p, dw_p, db_p) = linear_backward(&par, &cache, &grad);
         prop_assert_eq!(dx_s, dx_p);
         prop_assert_eq!(dw_s, dw_p);
         prop_assert_eq!(db_s, db_p);

@@ -100,15 +100,6 @@ impl WelfordState {
         self.max = self.max.max(other.max);
     }
 
-    /// Population variance (`M2 / n`); 0 when fewer than two observations.
-    pub fn population_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (`M2 / (n − 1)`); 0 when fewer than two
     /// observations.
     pub fn sample_variance(&self) -> f64 {
@@ -158,7 +149,6 @@ mod tests {
     fn empty_and_single_sample_are_safe() {
         let empty = WelfordState::new();
         assert!(empty.is_empty());
-        assert_eq!(empty.population_variance(), 0.0);
         assert_eq!(empty.sample_variance(), 0.0);
         let one = WelfordState::of(7.0);
         assert_eq!(one.count, 1);

@@ -81,7 +81,7 @@ const TILE_GATE: usize = 4096;
 /// deciding the dense-vs-skipping kernel without rescanning the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Density {
-    /// Unknown: sample the first [`DENSITY_SAMPLE`] elements.
+    /// Unknown: sample the first 4096 elements (`DENSITY_SAMPLE`).
     #[default]
     Sample,
     /// Known mostly nonzero; always use the dense kernel.

@@ -26,10 +26,30 @@ use crate::shape::{ShapeExt, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tensor {
     dims: Vec<usize>,
     data: Vec<f32>,
+}
+
+// Hand-written so a serialized tensor whose `data` length disagrees with
+// its `dims` (a torn or edited checkpoint), or whose `dims` overflow
+// `usize`, fails to load instead of becoming a tensor that breaks the
+// first kernel it reaches.
+impl Deserialize for Tensor {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let m = serde::expect_map(v, "Tensor")?;
+        let dims: Vec<usize> = serde::field(m, "dims")?;
+        let bad = |why: String| serde::DeError::custom(format!("Tensor {dims:?}: {why}"));
+        if dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .is_none()
+        {
+            return Err(bad("element count overflows usize".into()));
+        }
+        Tensor::from_vec(&dims, serde::field(m, "data")?).map_err(|e| bad(e.to_string()))
+    }
 }
 
 impl Tensor {
@@ -225,6 +245,20 @@ mod tests {
                 got: 3
             }
         );
+    }
+
+    #[test]
+    fn json_keeps_its_layout_and_rejects_a_torn_tensor() {
+        let t = Tensor::from_vec(&[1, 2], vec![0.5, -1.0]).unwrap();
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(json, r#"{"dims":[1,2],"data":[0.5,-1.0]}"#);
+        assert_eq!(serde_json::from_str::<Tensor>(&json).unwrap(), t);
+        let torn = r#"{"dims":[2,2],"data":[1.0,2.0,3.0]}"#;
+        let err = serde_json::from_str::<Tensor>(torn).unwrap_err();
+        assert!(err.to_string().contains("length mismatch"), "{err}");
+        let huge = format!(r#"{{"dims":[{0},{0}],"data":[]}}"#, u64::MAX);
+        let err = serde_json::from_str::<Tensor>(&huge).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

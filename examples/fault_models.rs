@@ -1,6 +1,6 @@
 //! Beyond additive noise: the paper's §4 refinements, exercised on a real
-//! network — fine-grained per-VMAC quantization, static device mismatch,
-//! and batch-norm folding for deployment.
+//! network — fine-grained per-VMAC quantization and static device
+//! mismatch.
 //!
 //! ```text
 //! cargo run --release --example fault_models
@@ -8,12 +8,12 @@
 
 use ams_repro::core::mismatch::MismatchModel;
 use ams_repro::core::vmac::Vmac;
-use ams_repro::data::{Batcher, SynthConfig};
+use ams_repro::data::SynthConfig;
 use ams_repro::exp::{eval_accuracy, train};
-use ams_repro::models::{fold_bn_into_conv, HardwareConfig, ResNetMini, ResNetMiniConfig};
-use ams_repro::nn::{BatchNorm2d, Checkpoint, Conv2d, Layer, Mode};
+use ams_repro::models::{HardwareConfig, ResNetMini, ResNetMiniConfig};
+use ams_repro::nn::Checkpoint;
 use ams_repro::quant::QuantConfig;
-use ams_repro::tensor::{rng, ExecCtx};
+use ams_repro::tensor::ExecCtx;
 
 fn main() {
     // Use every core; results are bit-identical to a serial run.
@@ -101,34 +101,4 @@ fn main() {
             eval_accuracy(&ctx, &mut net, &data.val, 16)
         );
     }
-
-    // 3. Batch-norm folding: the deployment transform the paper's §2
-    //    relies on ("weights can be folded into the convolutional layer").
-    println!("\nbatch-norm folding identity check:");
-    let mut r = rng::seeded(5);
-    let mut conv = Conv2d::new("demo", 3, 4, 3, 1, 1, false, &mut r);
-    let mut bn = BatchNorm2d::new("demo_bn", 4);
-    // Accumulate realistic running statistics.
-    for (images, _) in Batcher::sequential(&data.train, 16).take(8) {
-        let y = conv.forward(&ctx, &images, Mode::Train);
-        bn.forward(&ctx, &y, Mode::Train);
-    }
-    let (images, _) = Batcher::sequential(&data.val, 16).next().expect("nonempty");
-    let reference = bn.forward(&ctx, &conv.forward(&ctx, &images, Mode::Eval), Mode::Eval);
-    let (folded_w, folded_b) = fold_bn_into_conv(&conv.weight().value, &bn);
-    let wmat = folded_w.reshaped(&[4, 27]);
-    let (folded_y, _) = ams_repro::nn::functional::conv2d_forward(
-        &ctx,
-        &images,
-        &wmat,
-        ams_repro::tensor::Density::Sample,
-        Some(&folded_b),
-        3,
-        3,
-        1,
-        1,
-        false,
-    );
-    let max_err = reference.sub(&folded_y).max_abs();
-    println!("  max |conv+BN − folded conv| over a validation batch: {max_err:.2e}");
 }
